@@ -15,7 +15,7 @@ from enum import Enum
 
 from .extractor import Identifier, IdentifierKind
 from .splitter import split_identifier
-from .stemmer import StemLexicon, is_stop_word, stem_word
+from .stemmer import StemLexicon, stem_word
 
 
 class CloudKind(Enum):
@@ -86,17 +86,22 @@ class CloudStats:
     elapsed_ms: int
 
 
+def _stem_set(name: str, stem_of: dict, lexicon: StemLexicon, cfg: FilterConfig) -> set[str]:
+    """The deduplicated stem set of ``name``; ``stem_of`` memoizes word -> stem."""
+    stems = set()
+    for word in split_identifier(name):
+        stem = stem_of.get(word)
+        if stem is None:
+            stem = stem_of[word] = stem_word(word, lexicon)
+        stems.add(stem)
+    return stems - lexicon.stop_words if cfg.stop_words_enabled else stems
+
+
 def tags_of_identifier(
     identifier: Identifier, lexicon: StemLexicon, cfg: FilterConfig
 ) -> set[str]:
     """The deduplicated stem set of one identifier's simple name."""
-    stems = set()
-    for word in split_identifier(identifier.simple_name):
-        stem = stem_word(word, lexicon)
-        if cfg.stop_words_enabled and is_stop_word(stem, lexicon):
-            continue
-        stems.add(stem)
-    return stems
+    return _stem_set(identifier.simple_name, {}, lexicon, cfg)
 
 
 def _select(ids: list[Identifier], kind: CloudKind) -> list[Identifier]:
@@ -111,8 +116,9 @@ def build_tags(
 ) -> list[Tag]:
     """One alphabetically ordered Tag per distinct stem in the selection."""
     contributors: dict[str, list[Identifier]] = {}
+    stem_of: dict[str, str] = {}  # one call's memo, so it always matches ``lexicon``
     for identifier in _select(ids, kind):
-        for stem in tags_of_identifier(identifier, lexicon, cfg):
+        for stem in _stem_set(identifier.simple_name, stem_of, lexicon, cfg):
             contributors.setdefault(stem, []).append(identifier)
     return [
         Tag(stem, len(members), tuple(members))

@@ -6,7 +6,8 @@ straight loop interprets the same lexicon data.  It shares nothing with
 the production code path except the lexicon, so agreement between the two
 is evidence rather than tautology.  Each cloud tag gets precision, recall,
 and F-measure computed from its cloud weight and the oracle's count of
-identifiers containing the tag.
+identifiers containing the tag; an oracle stem the cloud lacks gets a row
+with cloud frequency 0, whose recall of 0 fails the check.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import csv
 import io
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 
-from .cloudmodel import CloudKind, TagCloud
-from .extractor import Identifier, IdentifierKind
+from .cloudmodel import TagCloud, _select
+from .extractor import Identifier
 from .stemmer import StemLexicon
 
 
@@ -148,21 +150,14 @@ class EvalReport:
     all_perfect: bool
 
 
-_CLOUD_KIND_TO_IDENTIFIER_KIND = {
-    CloudKind.PACKAGE: IdentifierKind.PACKAGE,
-    CloudKind.CLASS: IdentifierKind.CLASS,
-    CloudKind.ATTRIBUTE: IdentifierKind.ATTRIBUTE,
-    CloudKind.METHOD: IdentifierKind.METHOD,
-}
-
-
 def evaluate(cloud: TagCloud, ids: list[Identifier], lexicon: StemLexicon) -> EvalReport:
     """Score every cloud tag against the oracle frequency.
 
     The cloud must have been built from ``ids`` (checked through its
     contributor references) and without a short-tag filter, so that every
     tag is covered.  A kind-restricted cloud is scored against the oracle
-    over that kind's identifiers.
+    over that kind's identifiers.  Stems the oracle finds but the cloud
+    lacks get a row with cloud frequency 0; rows are in stem order.
     """
     known = {(identifier.file, identifier.ordinal) for identifier in ids}
     for tag in cloud.tags:
@@ -178,17 +173,16 @@ def evaluate(cloud: TagCloud, ids: list[Identifier], lexicon: StemLexicon) -> Ev
                     f"{tag.stem!r} is not part of the given corpus"
                 )
 
-    wanted = _CLOUD_KIND_TO_IDENTIFIER_KIND.get(cloud.kind)
-    selected = ids if wanted is None else [i for i in ids if i.kind is wanted]
     stop_words_enabled = cloud.filters.stop_words_enabled
-    word_sets = [
-        oracle_words(identifier.simple_name, lexicon, stop_words_enabled)
-        for identifier in selected
+    counts: Counter[str] = Counter()
+    for identifier in _select(ids, cloud.kind):
+        counts.update(oracle_words(identifier.simple_name, lexicon, stop_words_enabled))
+    rows = [
+        EvalRow.from_frequencies(tag.stem, tag.weight, counts[tag.stem]) for tag in cloud.tags
     ]
-    rows = []
-    for tag in cloud.tags:
-        oracle_count = sum(1 for words in word_sets if tag.stem in words)
-        rows.append(EvalRow.from_frequencies(tag.stem, tag.weight, oracle_count))
+    in_cloud = {tag.stem for tag in cloud.tags}
+    rows += [EvalRow.from_frequencies(s, 0, n) for s, n in counts.items() if s not in in_cloud]
+    rows.sort(key=lambda row: row.stem)
     return EvalReport(
         corpus_label=cloud.corpus_label,
         rows=tuple(rows),

@@ -97,6 +97,19 @@ def test_corrupted_cloud_detected(lexicon, drawing_shapes_ids):
     assert bad.recall == 1.0
 
 
+def test_missing_tag_detected(lexicon, drawing_shapes_ids):
+    cloud = build_cloud(drawing_shapes_ids, CloudKind.ALL, lexicon, FilterConfig(), "x")
+    kept = tuple(tag for tag in cloud.tags if tag.stem != "draw")
+    dropped = TagCloud(cloud.kind, kept, cloud.filters, cloud.corpus_label)
+    report = evaluate(dropped, drawing_shapes_ids, lexicon)
+    assert not report.all_perfect
+    assert [row.stem for row in report.rows] == [tag.stem for tag in cloud.tags]
+    assert [row.stem for row in report.rows if not row.perfect] == ["draw"]
+    missing = next(row for row in report.rows if row.stem == "draw")
+    assert (missing.cloud_frequency, missing.oracle_frequency) == (0, 10)
+    assert missing.recall == 0.0
+
+
 def test_empty_cloud_empty_corpus_vacuously_perfect(lexicon):
     cloud = TagCloud(CloudKind.ALL, (), FilterConfig(), "empty")
     report = evaluate(cloud, [], lexicon)

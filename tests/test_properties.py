@@ -19,12 +19,15 @@ from codecloud import (
     TagCloud,
     apply_short_tag_filter,
     build_tags,
+    evaluate,
     font_size_for,
     load_lexicon,
+    oracle_frequency,
     split_identifier,
     stem_word,
+    tags_of_identifier,
 )
-from codecloud.evaluator import EvalRow
+from codecloud.evaluator import EvalRow, oracle_words
 from codecloud.renderer import layout_cloud, text_width
 
 from reference import reference_split
@@ -132,6 +135,47 @@ def test_kind_decomposition(entries):
         for tag in build_tags(ids, kind, LEXICON, cfg):
             summed[tag.stem] = summed.get(tag.stem, 0) + tag.weight
     assert summed == all_weights
+
+
+# Names built from lexicon words share stems (and stop words) across
+# identifiers; arbitrary names mostly do not.
+_lexicon_names = st.lists(st.sampled_from(_STEM_POOL), min_size=1, max_size=3).map(
+    lambda words: words[0] + "".join(word.title() for word in words[1:])
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.tuples(st.one_of(identifier_names, _lexicon_names), _KINDS), max_size=30),
+    st.sampled_from(list(CloudKind)),
+    st.booleans(),
+)
+def test_one_pass_counts_equal_per_tag_scans(entries, kind, stop_words_enabled):
+    ids = [
+        Identifier(ident_kind, name, f"p.{name}", "G.java", 1, ordinal)
+        for ordinal, (name, ident_kind) in enumerate(entries)
+    ]
+    selected = [i for i in ids if kind is CloudKind.ALL or i.kind.name == kind.name]
+    cfg = FilterConfig(stop_words_enabled=stop_words_enabled)
+    tags = build_tags(ids, kind, LEXICON, cfg)
+
+    expected: dict[str, list[Identifier]] = {}
+    for identifier in selected:
+        for stem in tags_of_identifier(identifier, LEXICON, cfg):
+            expected.setdefault(stem, []).append(identifier)
+    assert tags == [
+        Tag(stem, len(members), tuple(members)) for stem, members in sorted(expected.items())
+    ]
+
+    report = evaluate(TagCloud(kind, tuple(tags), cfg, "prop"), ids, LEXICON)
+    oracle_stems = set()
+    for identifier in selected:
+        oracle_stems |= oracle_words(identifier.simple_name, LEXICON, stop_words_enabled)
+    assert [row.stem for row in report.rows] == sorted(set(expected) | oracle_stems)
+    for row in report.rows:
+        assert row.oracle_frequency == oracle_frequency(
+            row.stem, selected, LEXICON, stop_words_enabled
+        )
 
 
 @settings(max_examples=300, deadline=None)
