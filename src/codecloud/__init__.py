@@ -42,7 +42,7 @@ from .extractor import (
 )
 from .renderer import RenderConfig, font_size_for, render_html, render_svg
 from .splitter import split_identifier
-from .stemmer import LexiconError, StemLexicon, is_stop_word, load_lexicon, stem_word
+from .stemmer import LexiconError, StemLexicon, load_lexicon, stem_word
 
 __version__ = "0.1.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "extract_corpus",
     "extract_identifiers",
     "font_size_for",
-    "is_stop_word",
     "load_lexicon",
     "oracle_frequency",
     "oracle_words",

@@ -36,13 +36,7 @@ EXIT_IO = 2
 EXIT_EMPTY = 3
 EXIT_IMPERFECT = 4
 
-_KIND_NAMES = {
-    "package": CloudKind.PACKAGE,
-    "class": CloudKind.CLASS,
-    "attribute": CloudKind.ATTRIBUTE,
-    "method": CloudKind.METHOD,
-    "all": CloudKind.ALL,
-}
+_KIND_NAMES = {kind.name.lower(): kind for kind in CloudKind}
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -26,14 +26,6 @@ class CloudKind(Enum):
     ALL = "All"
 
 
-_KIND_TO_IDENTIFIER_KIND = {
-    CloudKind.PACKAGE: IdentifierKind.PACKAGE,
-    CloudKind.CLASS: IdentifierKind.CLASS,
-    CloudKind.ATTRIBUTE: IdentifierKind.ATTRIBUTE,
-    CloudKind.METHOD: IdentifierKind.METHOD,
-}
-
-
 @dataclass(frozen=True)
 class FilterConfig:
     """Cloud filter settings.
@@ -107,7 +99,7 @@ def tags_of_identifier(
 def _select(ids: list[Identifier], kind: CloudKind) -> list[Identifier]:
     if kind is CloudKind.ALL:
         return ids
-    wanted = _KIND_TO_IDENTIFIER_KIND[kind]
+    wanted = IdentifierKind(kind.value)
     return [identifier for identifier in ids if identifier.kind is wanted]
 
 

@@ -1,7 +1,8 @@
 """Declaration-level scanning of Java source trees.
 
-A lexer strips comments and string/char literals, then a brace-tracking
-parser walks the token stream and emits one identifier per declaration:
+A lexer cuts the source into token texts, dropping comments and keeping
+each literal whole, then a brace-tracking parser walks the token texts and
+emits one identifier per declaration:
 the package declaration, every type declaration (class, interface, enum,
 annotation type, record; nested included), every field declarator and enum
 constant, and every method or constructor.  Method bodies, local variables,
@@ -22,7 +23,6 @@ from pathlib import Path
 
 log = logging.getLogger(__name__)
 
-PARALLEL_ENV_VAR = "CODECLOUD_NO_PARALLEL"
 _PARALLEL_MIN_FILES = 8
 
 #: Java identifier shape: letter/underscore/dollar start, then letters,
@@ -112,72 +112,64 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-_IDENT = "ident"
-_PUNCT = "punct"
-_LITERAL = "lit"
+#: group -> (closing text, characters of the opening it must follow, name in
+#: the diagnostic)
+_CLOSERS = {
+    "block_comment": ("*/", 1, "block comment"),  # so ``/*/`` counts as closed
+    "text_block": ('"""', 3, "text block"),
+    "string": ('"', 1, "string literal"),
+    "char": ("'", 1, "character literal"),
+}
+_DROPPED = frozenset({"ws", "line_comment", "block_comment"})
+
+#: A token is a name exactly when it starts the way the ``ident`` group does.
+_is_name = re.compile(r"[^\W\d]|\$").match
 
 
-def _lex(text: str, diagnostics: list[Diagnostic]) -> list[tuple[str, str, int]]:
-    """Tokenize to (kind, text, line) triples; comments and whitespace drop out."""
-    tokens: list[tuple[str, str, int]] = []
+def _lex(text: str, diagnostics: list[Diagnostic]) -> tuple[list[str], list[int]]:
+    """Tokenize to token texts plus their line numbers; comments and whitespace drop out."""
+    tokens: list[str] = []
+    lines: list[int] = []
     line = 1
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
         value = match.group()
-        if kind == "ws":
-            pass
-        elif kind == "line_comment":
-            pass
-        elif kind == "block_comment":
-            if not value.endswith("*/"):
-                diagnostics.append(Diagnostic("unterminated block comment", line))
-        elif kind == "text_block":
-            if len(value) < 6 or not value.endswith('"""'):
-                diagnostics.append(Diagnostic("unterminated text block", line))
-            tokens.append((_LITERAL, value, line))
-        elif kind == "string":
-            if len(value) < 2 or not value.endswith('"'):
-                diagnostics.append(Diagnostic("unterminated string literal", line))
-            tokens.append((_LITERAL, value, line))
-        elif kind == "char":
-            if len(value) < 2 or not value.endswith("'"):
-                diagnostics.append(Diagnostic("unterminated character literal", line))
-            tokens.append((_LITERAL, value, line))
-        elif kind == "ident":
-            tokens.append((_IDENT, value, line))
-        elif kind == "number":
-            tokens.append((_LITERAL, value, line))
-        else:
-            tokens.append((_PUNCT, value, line))
+        if kind in _CLOSERS:
+            closer, start, what = _CLOSERS[kind]
+            if not value.endswith(closer, start):
+                diagnostics.append(Diagnostic(f"unterminated {what}", line))
+        if kind not in _DROPPED:
+            tokens.append(value)
+            lines.append(line)
         line += value.count("\n")
-    return tokens
+    return tokens, lines
 
 
 # --- parser --------------------------------------------------------------
 
 _OPEN_TO_CLOSE = {"(": ")", "{": "}", "[": "]"}
+_MEMBER_ENDS = frozenset("(=,;{}")
 
 
 class _Extraction:
-    """Single-file parse state: token cursor plus output accumulators."""
+    """Single-file parse state: token cursor plus output accumulators.
+
+    ``scope`` arguments are the enclosing package segments and type names.
+    """
 
     def __init__(self, unit: SourceUnit):
         self.unit = unit
-        self.tokens = _lex(unit.text, unit.diagnostics)
+        self.tokens, self.lines = _lex(unit.text, unit.diagnostics)
         self.pos = 0
-        self.package: str | None = None
+        self.package: tuple[str, ...] = ()
         self.out: list[Identifier] = []
 
     # -- token helpers --
 
-    def _peek(self, offset: int = 0) -> tuple[str, str, int] | None:
+    def _peek(self, offset: int = 0) -> str:
+        """The token ``offset`` places ahead of the cursor, or "" past the end."""
         index = self.pos + offset
-        return self.tokens[index] if index < len(self.tokens) else None
-
-    def _advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
+        return self.tokens[index] if index < len(self.tokens) else ""
 
     def _diag(self, message: str, line: int) -> None:
         self.unit.diagnostics.append(Diagnostic(message, line))
@@ -186,385 +178,300 @@ class _Extraction:
         if not IDENTIFIER_RE.fullmatch(simple):
             self._diag(f"skipping malformed identifier {simple!r}", line)
             return
-        qualified = ".".join(scope + (simple,)) if scope else simple
-        self.out.append(
-            Identifier(kind, simple, qualified, self.unit.path, line, len(self.out))
-        )
+        qualified = ".".join(scope + (simple,))
+        self.out.append(Identifier(kind, simple, qualified, self.unit.path, line, len(self.out)))
 
-    def _skip_balanced(self, opener: str) -> None:
+    def _skip_balanced(self) -> None:
         """Skip past a balanced bracket group; cursor sits on the opener."""
+        start = self.pos
+        opener = self.tokens[start]
         closer = _OPEN_TO_CLOSE[opener]
-        _, _, open_line = self._advance()
         depth = 1
+        self.pos += 1
         while self.pos < len(self.tokens):
-            kind, value, _ = self._advance()
-            if kind != _PUNCT:
-                continue
+            value = self.tokens[self.pos]
+            self.pos += 1
             if value == opener:
                 depth += 1
             elif value == closer:
                 depth -= 1
                 if depth == 0:
                     return
-        self._diag(f"unbalanced {opener!r}", open_line)
+        self._diag(f"unbalanced {opener!r}", self.lines[start])
 
     def _skip_annotation(self) -> None:
         """Skip ``@Name``, ``@pkg.Name``, ``@Name(...)``; cursor on '@'."""
-        self._advance()
+        self.pos += 1
         while True:
-            token = self._peek()
-            if token is None or token[0] != _IDENT:
+            if not _is_name(self._peek()):
                 return
-            self._advance()
-            nxt = self._peek()
-            if nxt and nxt[0] == _PUNCT and nxt[1] == ".":
-                self._advance()
-                continue
-            break
-        nxt = self._peek()
-        if nxt and nxt[0] == _PUNCT and nxt[1] == "(":
-            self._skip_balanced("(")
+            self.pos += 1
+            if self._peek() != ".":
+                break
+            self.pos += 1
+        if self._peek() == "(":
+            self._skip_balanced()
 
     def _skip_statement(self) -> None:
         """Recovery: drop tokens up to the next ';', balanced '{...}', or '}'."""
         while self.pos < len(self.tokens):
-            kind, value, _ = self.tokens[self.pos]
-            if kind == _PUNCT:
-                if value == ";":
-                    self._advance()
-                    return
-                if value == "{":
-                    self._skip_balanced("{")
-                    return
-                if value == "}":
-                    return
-            self._advance()
+            value = self.tokens[self.pos]
+            if value == ";":
+                self.pos += 1
+                return
+            if value == "{":
+                self._skip_balanced()
+                return
+            if value == "}":
+                return
+            self.pos += 1
+
+    def _at_type(self, value: str) -> bool:
+        """Whether the cursor, on ``value``, starts a type declaration."""
+        if value == "@":
+            return self._peek(1) == "interface"
+        if value == "record":
+            return _is_name(self._peek(1)) is not None and self._peek(2) in ("(", "<")
+        return value in _TYPE_KEYWORDS
 
     # -- grammar --
 
     def run(self) -> list[Identifier]:
         while self.pos < len(self.tokens):
-            kind, value, line = self.tokens[self.pos]
-            if kind == _IDENT:
-                if value == "package":
-                    self._parse_package()
-                elif value == "import":
-                    self._advance()
-                    self._skip_statement()
-                elif value in _TYPE_KEYWORDS or self._at_record():
-                    self._parse_type(())
-                elif value in _MODIFIERS:
-                    self._advance()
-                else:
-                    self._diag(f"unexpected {value!r} at top level", line)
-                    self._advance()
-                    self._skip_statement()
-            elif kind == _PUNCT and value == "@":
-                if self._annotation_is_type_decl():
-                    self._parse_type(())
-                else:
-                    self._skip_annotation()
-            elif kind == _PUNCT and value == ";":
-                self._advance()
-            elif kind == _PUNCT and value == "}":
-                self._diag("unmatched '}' at top level", line)
-                self._advance()
-            elif kind == _PUNCT and value == "{":
-                self._diag("unexpected '{' at top level", line)
-                self._skip_balanced("{")
+            value = self.tokens[self.pos]
+            if value == "package":
+                self._parse_package()
+            elif value == "import":
+                self.pos += 1
+                self._skip_statement()
+            elif self._at_type(value):
+                self._parse_type(self.package)
+            elif value in _MODIFIERS or value == ";":
+                self.pos += 1
+            elif value == "@":
+                self._skip_annotation()
+            elif value == "}":
+                self._diag("unmatched '}' at top level", self.lines[self.pos])
+                self.pos += 1
+            elif value == "{":
+                self._diag("unexpected '{' at top level", self.lines[self.pos])
+                self._skip_balanced()
             else:
-                self._diag(f"unexpected {value!r} at top level", line)
-                self._advance()
+                self._diag(f"unexpected {value!r} at top level", self.lines[self.pos])
+                self.pos += 1
                 self._skip_statement()
         return self.out
 
-    def _at_record(self) -> bool:
-        token = self._peek()
-        if token is None or token[0] != _IDENT or token[1] != "record":
-            return False
-        name = self._peek(1)
-        header = self._peek(2)
-        return (
-            name is not None
-            and name[0] == _IDENT
-            and header is not None
-            and header[0] == _PUNCT
-            and header[1] in ("(", "<")
-        )
-
-    def _annotation_is_type_decl(self) -> bool:
-        nxt = self._peek(1)
-        return nxt is not None and nxt[0] == _IDENT and nxt[1] == "interface"
-
     def _parse_package(self) -> None:
-        _, _, line = self._advance()
+        start = self.pos
+        self.pos += 1
         segments: list[str] = []
         while True:
-            token = self._peek()
-            if token is None:
-                break
-            kind, value, _ = token
-            if kind == _IDENT:
+            value = self._peek()
+            if _is_name(value):
                 segments.append(value)
-                self._advance()
-            elif kind == _PUNCT and value == ".":
-                self._advance()
-            else:
+            elif value != ".":
                 break
+            self.pos += 1
         self._skip_statement()
         if not segments:
-            self._diag("package declaration without a name", line)
+            self._diag("package declaration without a name", self.lines[start])
             return
-        self.package = ".".join(segments)
-        if not IDENTIFIER_RE.fullmatch(segments[-1]):
-            self._diag(f"skipping malformed identifier {segments[-1]!r}", line)
-            return
-        self.out.append(
-            Identifier(
-                IdentifierKind.PACKAGE,
-                segments[-1],
-                self.package,
-                self.unit.path,
-                line,
-                len(self.out),
-            )
-        )
+        self.package = tuple(segments)
+        self._emit(IdentifierKind.PACKAGE, segments[-1], self.package[:-1], self.lines[start])
 
-    def _scope(self, type_stack: tuple[str, ...]) -> tuple[str, ...]:
-        prefix = tuple(self.package.split(".")) if self.package else ()
-        return prefix + type_stack
-
-    def _parse_type(self, type_stack: tuple[str, ...]) -> None:
+    def _parse_type(self, scope: tuple[str, ...]) -> None:
         """Parse a type declaration; cursor on its keyword (or '@')."""
-        kind_token = self._advance()
-        keyword = kind_token[1]
-        if keyword == "@":  # @interface
-            self._advance()
-            keyword = "@interface"
-        name_token = self._peek()
-        if name_token is None or name_token[0] != _IDENT:
-            self._diag("type declaration without a name", kind_token[2])
+        start = self.pos
+        is_enum = self.tokens[start] == "enum"
+        self.pos += 2 if self.tokens[start] == "@" else 1  # '@' 'interface'
+        name = self._peek()
+        if not _is_name(name):
+            self._diag("type declaration without a name", self.lines[start])
             self._skip_statement()
             return
-        _, name, name_line = self._advance()
-        self._emit(IdentifierKind.CLASS, name, self._scope(type_stack), name_line)
+        name_at = self.pos
+        self.pos += 1
+        self._emit(IdentifierKind.CLASS, name, scope, self.lines[name_at])
 
         # Skim the header (generics, extends/implements/permits, record
         # components) up to the body.
         angle = 0
         while self.pos < len(self.tokens):
-            kind, value, _ = self.tokens[self.pos]
-            if kind == _PUNCT:
-                if value == "<":
-                    angle += 1
-                elif value == ">":
-                    angle = max(0, angle - 1)
-                elif value == "(" and angle == 0:
-                    self._skip_balanced("(")
-                    continue
-                elif value == "{" and angle == 0:
-                    self._parse_body(type_stack + (name,), is_enum=keyword == "enum")
-                    return
-                elif value == ";" and angle == 0:
-                    self._advance()
-                    return
-                elif value == "}" and angle == 0:
-                    return
-            self._advance()
-        self._diag(f"missing body for type {name!r}", name_line)
-
-    def _parse_body(self, type_stack: tuple[str, ...], is_enum: bool) -> None:
-        """Parse a type body; cursor on '{'."""
-        _, _, open_line = self._advance()
-        if is_enum and not self._parse_enum_constants(type_stack, open_line):
-            return
-        while self.pos < len(self.tokens):
-            kind, value, line = self.tokens[self.pos]
-            if kind == _PUNCT and value == "}":
-                self._advance()
-                return
-            self._parse_member(type_stack)
-        self._diag("unbalanced '{'", open_line)
-
-    def _parse_enum_constants(self, type_stack: tuple[str, ...], open_line: int) -> bool:
-        """Enum constant section; returns False if the body already ended."""
-        while self.pos < len(self.tokens):
-            kind, value, line = self.tokens[self.pos]
-            if kind == _PUNCT and value == "@":
-                self._skip_annotation()
-                continue
-            if kind == _PUNCT and value == ";":
-                self._advance()
-                return True
-            if kind == _PUNCT and value == "}":
-                self._advance()
-                return False
-            if kind == _PUNCT and value == ",":
-                self._advance()
-                continue
-            if kind == _IDENT:
-                self._advance()
-                self._emit(IdentifierKind.ATTRIBUTE, value, self._scope(type_stack), line)
-                nxt = self._peek()
-                if nxt and nxt[0] == _PUNCT and nxt[1] == "(":
-                    self._skip_balanced("(")
-                    nxt = self._peek()
-                if nxt and nxt[0] == _PUNCT and nxt[1] == "{":
-                    # constant body: an anonymous subclass scoped by the
-                    # constant's own name
-                    self._parse_body(type_stack + (value,), is_enum=False)
-                continue
-            self._diag(f"unexpected {value!r} in enum constants", line)
-            self._advance()
-        self._diag("unbalanced '{'", open_line)
-        return False
-
-    def _parse_member(self, type_stack: tuple[str, ...]) -> None:
-        """One member: nested type, initializer block, field(s), or method."""
-        last_ident: str | None = None
-        last_line = 0
-        prev_punct = ""
-        angle = 0
-        while self.pos < len(self.tokens):
-            kind, value, line = self.tokens[self.pos]
-            if kind == _IDENT:
-                if angle == 0 and prev_punct != "." and (
-                    value in _TYPE_KEYWORDS or self._at_record()
-                ):
-                    self._parse_type(type_stack)
-                    return
-                if angle == 0:
-                    last_ident, last_line = value, line
-                self._advance()
-                prev_punct = ""
-                continue
-            if kind == _LITERAL:
-                self._advance()
-                prev_punct = ""
-                continue
-            # punct
-            if value == "@":
-                if self._annotation_is_type_decl():
-                    self._parse_type(type_stack)
-                    return
-                self._skip_annotation()
-                prev_punct = ""
-                continue
+            value = self.tokens[self.pos]
             if value == "<":
                 angle += 1
             elif value == ">":
                 angle = max(0, angle - 1)
             elif angle == 0:
                 if value == "(":
-                    if last_ident is None or last_ident in _KEYWORDS_NEVER_NAMES:
-                        self._diag("stray '(' in type body", line)
-                        self._skip_balanced("(")
-                        self._skip_statement()
-                        return
-                    self._emit(IdentifierKind.METHOD, last_ident, self._scope(type_stack), last_line)
-                    self._skip_balanced("(")
-                    self._finish_method(line)
-                    return
-                if value == "=":
-                    if last_ident is not None:
-                        self._emit(
-                            IdentifierKind.ATTRIBUTE, last_ident, self._scope(type_stack), last_line
-                        )
-                    self._advance()
-                    self._finish_field_declarators(type_stack, skip_initializer=True)
-                    return
-                if value == ",":
-                    if last_ident is not None:
-                        self._emit(
-                            IdentifierKind.ATTRIBUTE, last_ident, self._scope(type_stack), last_line
-                        )
-                    self._advance()
-                    self._finish_field_declarators(type_stack, skip_initializer=False)
+                    self._skip_balanced()
+                    continue
+                if value == "{":
+                    self._parse_body(scope + (name,), is_enum)
                     return
                 if value == ";":
-                    if last_ident is not None and last_ident not in _KEYWORDS_NEVER_NAMES:
-                        self._emit(
-                            IdentifierKind.ATTRIBUTE, last_ident, self._scope(type_stack), last_line
-                        )
-                    self._advance()
-                    return
-                if value == "{":
-                    # static/instance initializer block (or recovery)
-                    if last_ident is not None and last_ident not in _MODIFIERS:
-                        self._diag(f"unexpected '{{' after {last_ident!r}", line)
-                    self._skip_balanced("{")
+                    self.pos += 1
                     return
                 if value == "}":
-                    if last_ident is not None:
-                        self._diag("incomplete member before '}'", line)
                     return
-            self._advance()
-            prev_punct = value
-        if last_ident is not None:
-            self._diag("incomplete member at end of file", last_line)
+            self.pos += 1
+        self._diag(f"missing body for type {name!r}", self.lines[name_at])
 
-    def _finish_method(self, params_line: int) -> None:
-        """After the parameter list: throws clause, then body, ';', or default."""
-        saw_default = False
+    def _parse_body(self, scope: tuple[str, ...], is_enum: bool) -> None:
+        """Parse a type body; cursor on '{'."""
+        open_at = self.pos
+        self.pos += 1
+        if is_enum and not self._parse_enum_constants(scope, open_at):
+            return
         while self.pos < len(self.tokens):
-            kind, value, _ = self.tokens[self.pos]
-            if kind == _IDENT:
-                saw_default = saw_default or value == "default"
-                self._advance()
-                continue
-            if kind == _LITERAL:
-                self._advance()
-                continue
+            if self.tokens[self.pos] == "}":
+                self.pos += 1
+                return
+            self._parse_member(scope)
+        self._diag("unbalanced '{'", self.lines[open_at])
+
+    def _parse_enum_constants(self, scope: tuple[str, ...], open_at: int) -> bool:
+        """Enum constant section; returns False if the body already ended."""
+        while self.pos < len(self.tokens):
+            value = self.tokens[self.pos]
             if value == "@":
                 self._skip_annotation()
                 continue
-            if value == "(":
-                self._skip_balanced("(")
+            if value == ";" or value == "}":
+                self.pos += 1
+                return value == ";"
+            if value == ",":
+                self.pos += 1
                 continue
-            if value == "[":
-                self._skip_balanced("[")
+            if _is_name(value):
+                self._emit(IdentifierKind.ATTRIBUTE, value, scope, self.lines[self.pos])
+                self.pos += 1
+                if self._peek() == "(":
+                    self._skip_balanced()
+                if self._peek() == "{":
+                    # constant body: an anonymous subclass scoped by the
+                    # constant's own name
+                    self._parse_body(scope + (value,), is_enum=False)
+                continue
+            self._diag(f"unexpected {value!r} in enum constants", self.lines[self.pos])
+            self.pos += 1
+        self._diag("unbalanced '{'", self.lines[open_at])
+        return False
+
+    def _parse_member(self, scope: tuple[str, ...]) -> None:
+        """One member: nested type, initializer block, field(s), or method."""
+        name_at = -1  # position of the latest name outside type arguments
+        prev = ""
+        angle = 0
+        while self.pos < len(self.tokens):
+            value = self.tokens[self.pos]
+            if _is_name(value):
+                if angle == 0 and prev != "." and self._at_type(value):
+                    self._parse_type(scope)
+                    return
+                if angle == 0:
+                    name_at = self.pos
+            elif value == "@":
+                if self._at_type(value):
+                    self._parse_type(scope)
+                    return
+                self._skip_annotation()
+                prev = ""
+                continue
+            elif value == "<":
+                angle += 1
+            elif value == ">":
+                angle = max(0, angle - 1)
+            elif angle == 0 and value in _MEMBER_ENDS:
+                name = self.tokens[name_at] if name_at >= 0 else None
+                if value == "(":
+                    if name is None or name in _KEYWORDS_NEVER_NAMES:
+                        self._diag("stray '(' in type body", self.lines[self.pos])
+                        self._skip_balanced()
+                        self._skip_statement()
+                        return
+                    self._emit(IdentifierKind.METHOD, name, scope, self.lines[name_at])
+                    params_at = self.pos
+                    self._skip_balanced()
+                    self._finish_method(params_at)
+                elif value == "=" or value == ",":
+                    if name is not None:
+                        self._emit(IdentifierKind.ATTRIBUTE, name, scope, self.lines[name_at])
+                    first_at = self.pos if name is None else name_at
+                    self.pos += 1
+                    self._finish_field_declarators(scope, value == ",", first_at)
+                elif value == ";":
+                    if name is not None and name not in _KEYWORDS_NEVER_NAMES:
+                        self._emit(IdentifierKind.ATTRIBUTE, name, scope, self.lines[name_at])
+                    self.pos += 1
+                elif value == "{":
+                    # static/instance initializer block (or recovery)
+                    if name is not None and name not in _MODIFIERS:
+                        self._diag(f"unexpected '{{' after {name!r}", self.lines[self.pos])
+                    self._skip_balanced()
+                elif name is not None:  # '}'
+                    self._diag("incomplete member before '}'", self.lines[self.pos])
+                return
+            self.pos += 1
+            prev = value
+        if name_at >= 0:
+            self._diag("incomplete member at end of file", self.lines[name_at])
+
+    def _finish_method(self, params_at: int) -> None:
+        """After the parameter list: throws clause, then body, ';', or default."""
+        saw_default = False
+        while self.pos < len(self.tokens):
+            value = self.tokens[self.pos]
+            if value == "@":
+                self._skip_annotation()
+                continue
+            if value == "(" or value == "[":
+                self._skip_balanced()
                 continue
             if value == ";":
-                self._advance()
+                self.pos += 1
                 return
             if value == "{":
-                self._skip_balanced("{")
+                self._skip_balanced()
                 if saw_default:
                     saw_default = False
                     continue
                 return
             if value == "}":
-                self._diag("method declaration ends abruptly", params_line)
+                self._diag("method declaration ends abruptly", self.lines[params_at])
                 return
-            self._advance()
-        self._diag("method declaration ends at end of file", params_line)
+            if value == "default":
+                saw_default = True
+            self.pos += 1
+        self._diag("method declaration ends at end of file", self.lines[params_at])
 
-    def _finish_field_declarators(self, type_stack: tuple[str, ...], skip_initializer: bool) -> None:
-        """Remaining ``, next [= init]`` declarators up to ';'."""
-        expect_name = not skip_initializer
+    def _finish_field_declarators(
+        self, scope: tuple[str, ...], expect_name: bool, first_at: int
+    ) -> None:
+        """Remaining ``, next [= init]`` declarators up to ';'.
+
+        ``first_at`` is the position of the first declarator, where an
+        unfinished declaration is reported.
+        """
         while self.pos < len(self.tokens):
-            kind, value, line = self.tokens[self.pos]
-            if kind == _IDENT and expect_name:
-                self._emit(IdentifierKind.ATTRIBUTE, value, self._scope(type_stack), line)
+            value = self.tokens[self.pos]
+            if expect_name and _is_name(value):
+                self._emit(IdentifierKind.ATTRIBUTE, value, scope, self.lines[self.pos])
                 expect_name = False
-                self._advance()
+            elif value in _OPEN_TO_CLOSE:
+                self._skip_balanced()
                 continue
-            if kind == _PUNCT:
-                if value in "({[":
-                    self._skip_balanced(value)
-                    continue
-                if value == ";":
-                    self._advance()
-                    return
-                if value == ",":
-                    expect_name = True
-                    self._advance()
-                    continue
-                if value == "}":
-                    self._diag("field declaration ends abruptly", line)
-                    return
-            self._advance()
-        self._diag("field declaration ends at end of file", 0)
+            elif value == ";":
+                self.pos += 1
+                return
+            elif value == ",":
+                expect_name = True
+            elif value == "}":
+                self._diag("field declaration ends abruptly", self.lines[self.pos])
+                return
+            self.pos += 1
+        self._diag("field declaration ends at end of file", self.lines[first_at])
 
 
 def extract_identifiers(unit: SourceUnit) -> list[Identifier]:
@@ -613,10 +520,6 @@ def _extract_for_merge(unit: SourceUnit) -> tuple[list[Identifier], list[Diagnos
     return extract_identifiers(unit), unit.diagnostics
 
 
-def parallel_enabled() -> bool:
-    return os.environ.get(PARALLEL_ENV_VAR, "") != "1"
-
-
 def extract_corpus(units: list[SourceUnit], parallel: bool | None = None) -> list[Identifier]:
     """Extract identifiers from all units and assemble the corpus list.
 
@@ -627,7 +530,7 @@ def extract_corpus(units: list[SourceUnit], parallel: bool | None = None) -> lis
     per-file ordinals.
     """
     if parallel is None:
-        parallel = parallel_enabled() and len(units) >= _PARALLEL_MIN_FILES
+        parallel = len(units) >= _PARALLEL_MIN_FILES
     results: list[list[Identifier]] | None = None
     if parallel:
         try:

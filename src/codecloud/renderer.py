@@ -11,7 +11,7 @@ always renders to the same bytes on any machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 from .cloudmodel import TagCloud
 
@@ -149,7 +149,7 @@ def render_svg(cloud: TagCloud, cfg: RenderConfig) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{cfg.page_width_px}" height="{height:.2f}" '
         f'viewBox="0 0 {cfg.page_width_px} {height:.2f}">',
-        f'<title>{escape(cloud.corpus_label or "tag cloud")}</title>',
+        f'<title>{escape(cloud.corpus_label or "tag cloud", quote=False)}</title>',
         f'<rect width="100%" height="100%" fill="{escape(cfg.background)}"/>',
     ]
     for item in placed:
@@ -160,13 +160,13 @@ def render_svg(cloud: TagCloud, cfg: RenderConfig) -> str:
         )
         lines.append(
             f'<text x="{x:.2f}" y="{y:.2f}" {style} '
-            f'fill="{escape(cfg.label_color)}">{escape(item.label)}</text>'
+            f'fill="{escape(cfg.label_color)}">{escape(item.label, quote=False)}</text>'
         )
         if item.freq_label is not None:
             freq_x = x + item.label_width + text_width(" ", item.font_size)
             lines.append(
                 f'<text x="{freq_x:.2f}" y="{y:.2f}" {style} '
-                f'fill="{escape(cfg.freq_color)}">{escape(item.freq_label)}</text>'
+                f'fill="{escape(cfg.freq_color)}">{escape(item.freq_label, quote=False)}</text>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -179,7 +179,7 @@ def render_html(cloud: TagCloud, cfg: RenderConfig) -> str:
     for item in placed:
         rows[item.row].append(item)
 
-    title = escape(cloud.corpus_label or "tag cloud")
+    title = escape(cloud.corpus_label or "tag cloud", quote=False)
     lines = [
         "<!DOCTYPE html>",
         '<html lang="en">',
@@ -199,12 +199,12 @@ def render_html(cloud: TagCloud, cfg: RenderConfig) -> str:
         for item in row_items:
             span = (
                 f'<span style="font-size:{item.font_size:.2f}pt;'
-                f'color:{escape(cfg.label_color)};">{escape(item.label)}</span>'
+                f'color:{escape(cfg.label_color)};">{escape(item.label, quote=False)}</span>'
             )
             if item.freq_label is not None:
                 span += (
                     f' <span style="font-size:{item.font_size:.2f}pt;'
-                    f'color:{escape(cfg.freq_color)};">{escape(item.freq_label)}</span>'
+                    f'color:{escape(cfg.freq_color)};">{escape(item.freq_label, quote=False)}</span>'
                 )
             lines.append(span)
         lines.append("</div>")

@@ -11,7 +11,6 @@ Stop words are a separate set consulted after stemming.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 #: (suffix, replacement, min_stem_len, needs_word_list), tried in order.
@@ -77,7 +76,7 @@ def _read_pairs(text: str, source: str) -> dict[str, str]:
 
 
 def _bundled(name: str) -> str:
-    return resources.files("codecloud.data").joinpath(name).read_text(encoding="utf-8")
+    return (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
 
 
 def load_lexicon(
@@ -126,8 +125,3 @@ def stem_word(word: str, lexicon: StemLexicon) -> str:
                 continue
             return candidate
     return word
-
-
-def is_stop_word(word: str, lexicon: StemLexicon) -> bool:
-    """True when the (lowercase) word is a stop word."""
-    return word in lexicon.stop_words

@@ -22,12 +22,14 @@ import pytest
 from codecloud import (
     CloudKind,
     FilterConfig,
+    RenderConfig,
     build_cloud,
     build_tags,
     compute_stats,
     evaluate,
     extract_corpus,
     load_lexicon,
+    render_svg,
     scan_tree,
     split_identifier,
     stem_word,
@@ -48,15 +50,11 @@ def _skip(name, reason):
     pytest.skip(reason)
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "codecloud", *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -212,15 +210,17 @@ def _weight_of(stem):
     return expected["tags"][stem]
 
 
-def test_determinism(big_corpus):
+def test_determinism(lexicon, big_corpus):
     """Consecutive runs are byte-identical, parallel or sequential."""
     big_root, _ = big_corpus
-    outputs = []
-    for env_extra in (None, None, {"CODECLOUD_NO_PARALLEL": "1"}, {"CODECLOUD_NO_PARALLEL": "1"}):
-        result = run_cli("cloud", big_root, "--format", "svg", env_extra=env_extra)
+    ids = extract_corpus(scan_tree(big_root), parallel=False)
+    cloud = build_cloud(ids, CloudKind.ALL, lexicon, FilterConfig(), big_root.name)
+    outputs = {render_svg(cloud, RenderConfig())}
+    for _ in range(2):
+        result = run_cli("cloud", big_root, "--format", "svg")
         assert result.returncode == 0
-        outputs.append(result.stdout)
-    assert len(set(outputs)) == 1
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
     _ok("determinism (byte-identical SVG, parallel and sequential)")
 
 

@@ -1,27 +1,31 @@
 import json
-import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from codecloud import RenderConfig, cloud_from_json_dict, render_svg
+from codecloud import (
+    CloudKind,
+    FilterConfig,
+    RenderConfig,
+    build_cloud,
+    cloud_from_json_dict,
+    extract_corpus,
+    render_svg,
+    scan_tree,
+)
 
 from bigcorpus import write_big_corpus
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
-def run_cli(*args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "codecloud", *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
         cwd=cwd,
     )
 
@@ -233,14 +237,15 @@ def test_no_stopwords_flag(drawing_shapes_dir):
     assert "all" in stems
 
 
-def test_determinism_sequential_and_parallel(big_corpus):
+def test_determinism_sequential_and_parallel(big_corpus, lexicon):
     root, _ = big_corpus
-    runs = []
-    for env_extra in (None, None, {"CODECLOUD_NO_PARALLEL": "1"}):
-        result = run_cli("cloud", root, "--format", "svg", env_extra=env_extra)
+    ids = extract_corpus(scan_tree(root), parallel=False)
+    cloud = build_cloud(ids, CloudKind.ALL, lexicon, FilterConfig(), root.name)
+    sequential = render_svg(cloud, RenderConfig())
+    for _ in range(2):
+        result = run_cli("cloud", root, "--format", "svg")
         assert result.returncode == 0
-        runs.append(result.stdout)
-    assert runs[0] == runs[1] == runs[2]
+        assert result.stdout == sequential
 
 
 def test_eval_perfect_on_big_corpus(big_corpus):

@@ -152,7 +152,7 @@ def test_report_json_shape(lexicon, drawing_shapes_ids):
 
 def test_oracle_agrees_with_pipeline_per_identifier(lexicon, menagerie_ids):
     # spot-check the two implementations word by word
-    from codecloud import split_identifier, stem_word, is_stop_word
+    from codecloud import split_identifier, stem_word
     from codecloud.evaluator import oracle_words
 
     for identifier in menagerie_ids:
@@ -161,7 +161,7 @@ def test_oracle_agrees_with_pipeline_per_identifier(lexicon, menagerie_ids):
             for stem in (
                 stem_word(w, lexicon) for w in split_identifier(identifier.simple_name)
             )
-            if not is_stop_word(stem, lexicon)
+            if stem not in lexicon.stop_words
         }
         assert oracle_words(identifier.simple_name, lexicon) == pipeline
 

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codecloud import (
     CorpusError,
@@ -314,3 +315,81 @@ def test_json_dump_shape(drawing_shapes_ids):
     parsed = json.loads(json.dumps(payload))
     assert {"kind", "simpleName", "qualifiedName", "file", "line"} == set(parsed[0])
     assert parsed[0]["kind"] in {"Package", "Class", "Attribute", "Method"}
+
+
+@pytest.mark.parametrize(
+    ("source", "expected"),
+    [
+        ("class A {}\n/* open", [("unterminated block comment", 2)]),
+        (
+            'class A {\n String s = """\nopen',
+            [("unterminated text block", 2), ("field declaration ends at end of file", 2),
+             ("unbalanced '{'", 1)],
+        ),
+        ('class A {\n String s = "open\n; }', [("unterminated string literal", 2)]),
+        ("class A {\n char c = 'x\n; }", [("unterminated character literal", 2)]),
+        (
+            "class A {\n void m(\n int x { }",
+            [("unbalanced '('", 2), ("method declaration ends at end of file", 2),
+             ("unbalanced '{'", 1)],
+        ),
+        (
+            "class A {\n int x = a[0;\n}",
+            [("unbalanced '['", 2), ("field declaration ends at end of file", 2),
+             ("unbalanced '{'", 1)],
+        ),
+        ("class A {\n\n int x;", [("unbalanced '{'", 1)]),
+        ("package p;\nint x;", [("unexpected 'int' at top level", 2)]),
+        ('package p;\n"lit" x;', [("unexpected '\"lit\"' at top level", 2)]),
+        ("package p;\n'c' x;", [("unexpected \"'c'\" at top level", 2)]),
+        ("}\nclass A {}", [("unmatched '}' at top level", 1)]),
+        ("\n{ int x; }\nclass A {}", [("unexpected '{' at top level", 2)]),
+        ("package ;\nclass A {}", [("package declaration without a name", 1)]),
+        ("\nclass\n{ }", [("type declaration without a name", 2)]),
+        ("class A\nextends B", [("missing body for type 'A'", 1)]),
+        ('enum E {\n A, "lit", B\n}', [("unexpected '\"lit\"' in enum constants", 2)]),
+        ("enum E {\n A, B;\n (x);\n}", [("stray '(' in type body", 3)]),
+        ("class A {\n static int {\n } }", [("unexpected '{' after 'int'", 2)]),
+        ("class A {\n int x\n}", [("incomplete member before '}'", 3)]),
+        ("class A {\n int x", [("incomplete member at end of file", 2), ("unbalanced '{'", 1)]),
+        ("class A {\n void m()\n}", [("method declaration ends abruptly", 2)]),
+        ("class A {\n int x = 1\n}", [("field declaration ends abruptly", 3)]),
+        # reported at the first declarator, not the last
+        (
+            "class A {\n int x,\n y = 1",
+            [("field declaration ends at end of file", 2), ("unbalanced '{'", 1)],
+        ),
+        (
+            "class A {\n\n = 1",
+            [("field declaration ends at end of file", 3), ("unbalanced '{'", 1)],
+        ),
+    ],
+)
+def test_diagnostic_messages_and_lines(source, expected):
+    unit = _unit(source)
+    extract_identifiers(unit)
+    assert [(d.message, d.line) for d in unit.diagnostics] == expected
+
+
+_SOUP = st.sampled_from(
+    "package import class interface enum record extends implements permits throws "
+    "public static final abstract default sealed void int new return this A B x y "
+    "( ) { } [ ] ; , . @ < > = + - * / "
+    "\"s\" \" 'c' ' 1 1.5e3 \"\"\"\nt\"\"\" \"\"\" // /* */ $ _ \u0663".split(" ")
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["", "class A {\n", "enum E { C;\n"]),
+    st.lists(st.tuples(_SOUP, st.sampled_from([" ", "\n", ""])), max_size=200),
+)
+def test_token_soup_extracts_without_raising(opening, pieces):
+    text = opening + "".join(token + sep for token, sep in pieces)
+    unit = _unit(text)
+    ids = extract_identifiers(unit)
+    assert all(IDENTIFIER_RE.fullmatch(i.simple_name) for i in ids)
+    assert [i.ordinal for i in ids] == list(range(len(ids)))
+    last_line = text.count("\n") + 1
+    assert all(1 <= i.line <= last_line for i in ids)
+    assert all(1 <= d.line <= last_line for d in unit.diagnostics)

@@ -3,7 +3,6 @@ import pytest
 from codecloud import (
     LexiconError,
     extract_corpus,
-    is_stop_word,
     load_lexicon,
     scan_tree,
     split_identifier,
@@ -53,11 +52,11 @@ def test_detachment_rules(lexicon, word, stem):
 
 
 def test_stop_words(lexicon):
-    assert is_stop_word("the", lexicon)
-    assert not is_stop_word("draw", lexicon)
+    assert "the" in lexicon.stop_words
+    assert "draw" not in lexicon.stop_words
     # frequent tags in real clouds must survive stop-word removal
-    assert not is_stop_word("get", lexicon)
-    assert not is_stop_word("set", lexicon)
+    assert "get" not in lexicon.stop_words
+    assert "set" not in lexicon.stop_words
 
 
 def test_idempotent_over_word_list(lexicon):
@@ -106,8 +105,8 @@ def test_lexicon_overrides(tmp_path):
     excs = tmp_path / "excs.txt"
     excs.write_text("beeped beep  # trailing comment\n")
     lexicon = load_lexicon(exceptions_path=excs, stopwords_path=stops)
-    assert is_stop_word("foo", lexicon)
-    assert not is_stop_word("the", lexicon)
+    assert "foo" in lexicon.stop_words
+    assert "the" not in lexicon.stop_words
     assert stem_word("beeped", lexicon) == "beep"
 
 
