@@ -1,14 +1,19 @@
 """Declaration-level scanning of Java source trees.
 
 A lexer cuts the source into token texts, dropping comments and keeping
-each literal whole, then a brace-tracking parser walks the token texts and
+each literal whole, and a brace-tracking parser walks the token texts and
 emits one identifier per declaration:
 the package declaration, every type declaration (class, interface, enum,
 annotation type, record; nested included), every field declarator and enum
-constant, and every method or constructor.  Method bodies, local variables,
-parameters, and type parameters are never inspected, so the parser needs
-no expression grammar.  Files that do not parse cleanly recover at the
-next plausible boundary and report diagnostics instead of failing.
+constant, and every method or constructor.  The parser reads tokens only up
+to the next '{'.  Method bodies, initializer blocks and brace initializers
+(anonymous class bodies included) are skipped by a character scan that
+counts braces outside comments and literals, so they are never tokenized;
+an unterminated literal or comment inside them is still diagnosed.  Local
+variables, parameters, and type parameters are never inspected, so the
+parser needs no expression grammar.  Files that do not parse cleanly
+recover at the next plausible boundary and report diagnostics instead of
+failing.
 """
 
 from __future__ import annotations
@@ -97,52 +102,49 @@ def identifier_to_dict(identifier: Identifier) -> dict:
 
 # --- lexer ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<line_comment>//[^\n]*)
+#: Comments and literals, shared by the token scanner and the body scanner so
+#: that the two agree on where each one ends.
+_COMMENTS_AND_LITERALS = r"""
+      (?P<line_comment>//[^\n]*)
     | (?P<block_comment>/\*.*?(?:\*/|\Z))
     | (?P<text_block>\"{3}.*?(?:\"{3}|\Z))
     | (?P<string>"(?:\\.|[^"\\\n])*"?)
     | (?P<char>'(?:\\.|[^'\\\n])*'?)
+"""
+
+#: One token after optional whitespace.  The final ``\Z`` takes trailing
+#: whitespace in one match; without it every trailing position would be
+#: searched again, which is quadratic in the length of the tail.
+_TOKEN_RE = re.compile(
+    r"\s*(?:" + _COMMENTS_AND_LITERALS + r"""
     | (?P<ident>(?:[^\W\d]|\$)[\w$]*)
     | (?P<number>[0-9][0-9a-zA-Z_]*(?:\.[0-9a-zA-Z_]*)?(?:[eEpP][+-]?[0-9]+)?|\.[0-9][0-9a-zA-Z_]*)
-    | (?P<punct>.)
-    """,
+    | (?P<punct>\S)
+    | \Z
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+
+#: A skipped body in as few matches as possible: a run of characters that
+#: cannot open a comment, a literal or a brace; a brace; a comment or
+#: literal whole; or a '/' that opens neither.
+_BODY_RE = re.compile(
+    r"""[^{}"'/]+ | (?P<open>\{) | (?P<close>\}) | """ + _COMMENTS_AND_LITERALS + " | /",
     re.VERBOSE | re.DOTALL,
 )
 
 #: group -> (closing text, characters of the opening it must follow, name in
 #: the diagnostic)
 _CLOSERS = {
-    "block_comment": ("*/", 1, "block comment"),  # so ``/*/`` counts as closed
+    "block_comment": ("*/", 2, "block comment"),
     "text_block": ('"""', 3, "text block"),
     "string": ('"', 1, "string literal"),
     "char": ("'", 1, "character literal"),
 }
-_DROPPED = frozenset({"ws", "line_comment", "block_comment"})
+_COMMENTS = frozenset({"line_comment", "block_comment"})
 
 #: A token is a name exactly when it starts the way the ``ident`` group does.
 _is_name = re.compile(r"[^\W\d]|\$").match
-
-
-def _lex(text: str, diagnostics: list[Diagnostic]) -> tuple[list[str], list[int]]:
-    """Tokenize to token texts plus their line numbers; comments and whitespace drop out."""
-    tokens: list[str] = []
-    lines: list[int] = []
-    line = 1
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        value = match.group()
-        if kind in _CLOSERS:
-            closer, start, what = _CLOSERS[kind]
-            if not value.endswith(closer, start):
-                diagnostics.append(Diagnostic(f"unterminated {what}", line))
-        if kind not in _DROPPED:
-            tokens.append(value)
-            lines.append(line)
-        line += value.count("\n")
-    return tokens, lines
 
 
 # --- parser --------------------------------------------------------------
@@ -152,43 +154,101 @@ _MEMBER_ENDS = frozenset("(=,;{}")
 
 
 class _Extraction:
-    """Single-file parse state: token cursor plus output accumulators.
+    """Single-file parse state: token buffer and cursor plus output accumulators.
+
+    The buffer holds each token's text and start offset.  It is lexed on
+    demand, up to and including the next '{', so a body that is skipped as a
+    whole is never tokenized: :meth:`_skip_body` counts its braces with
+    :data:`_BODY_RE` instead.  Line numbers are computed from offsets only
+    where something is emitted or diagnosed.
 
     ``scope`` arguments are the enclosing package segments and type names.
     """
 
     def __init__(self, unit: SourceUnit):
         self.unit = unit
-        self.tokens, self.lines = _lex(unit.text, unit.diagnostics)
+        self.text = unit.text
+        self.lexed_to = 0  # offset where lexing resumes
+        self.tokens: list[str] = []
+        self.offsets: list[int] = []
         self.pos = 0
         self.package: tuple[str, ...] = ()
         self.out: list[Identifier] = []
+        self.lexer_diagnostics: list[Diagnostic] = []
+        self.parser_diagnostics: list[Diagnostic] = []
+        self.line_at = 0  # offset of the latest line lookup ...
+        self.line = 1  # ... and its line
+
+    # -- lexer --
+
+    def _fill(self) -> bool:
+        """Lex on through the next '{' or to the end; whether tokens were added."""
+        count = len(self.tokens)
+        for match in _TOKEN_RE.finditer(self.text, self.lexed_to):
+            kind = match.lastgroup
+            if kind in _CLOSERS:
+                self._check_closed(match, kind)
+            if kind is None or kind in _COMMENTS:
+                continue
+            value = match.group(kind)
+            self.tokens.append(value)
+            self.offsets.append(match.start(kind))
+            if value == "{":
+                self.lexed_to = match.end()
+                break
+        else:
+            self.lexed_to = len(self.text)
+        return len(self.tokens) > count
+
+    def _check_closed(self, match: re.Match, kind: str) -> None:
+        closer, start, what = _CLOSERS[kind]
+        if not match.group(kind).endswith(closer, start):
+            line = self._line(match.start(kind))
+            self.lexer_diagnostics.append(Diagnostic(f"unterminated {what}", line))
+
+    def _line(self, offset: int) -> int:
+        """1-based line of ``offset``, counted from the previous lookup."""
+        if offset >= self.line_at:
+            self.line += self.text.count("\n", self.line_at, offset)
+        else:
+            self.line -= self.text.count("\n", offset, self.line_at)
+        self.line_at = offset
+        return self.line
 
     # -- token helpers --
 
     def _peek(self, offset: int = 0) -> str:
         """The token ``offset`` places ahead of the cursor, or "" past the end."""
         index = self.pos + offset
-        return self.tokens[index] if index < len(self.tokens) else ""
+        while index >= len(self.tokens):
+            if not self._fill():
+                return ""
+        return self.tokens[index]
 
-    def _diag(self, message: str, line: int) -> None:
-        self.unit.diagnostics.append(Diagnostic(message, line))
+    def _diag(self, message: str, at: int) -> None:
+        """Report ``message`` at the line of the token at index ``at``."""
+        self.parser_diagnostics.append(Diagnostic(message, self._line(self.offsets[at])))
 
-    def _emit(self, kind: IdentifierKind, simple: str, scope: tuple[str, ...], line: int) -> None:
+    def _emit(self, kind: IdentifierKind, simple: str, scope: tuple[str, ...], at: int) -> None:
         if not IDENTIFIER_RE.fullmatch(simple):
-            self._diag(f"skipping malformed identifier {simple!r}", line)
+            self._diag(f"skipping malformed identifier {simple!r}", at)
             return
         qualified = ".".join(scope + (simple,))
+        line = self._line(self.offsets[at])
         self.out.append(Identifier(kind, simple, qualified, self.unit.path, line, len(self.out)))
 
     def _skip_balanced(self) -> None:
         """Skip past a balanced bracket group; cursor sits on the opener."""
         start = self.pos
         opener = self.tokens[start]
+        if opener == "{" and self.lexed_to == self.offsets[start] + 1:
+            # lexing stopped at this '{', so its body has no tokens yet
+            self._skip_body()
+            return
         closer = _OPEN_TO_CLOSE[opener]
         depth = 1
         self.pos += 1
-        while self.pos < len(self.tokens):
+        while self.pos < len(self.tokens) or self._fill():
             value = self.tokens[self.pos]
             self.pos += 1
             if value == opener:
@@ -197,7 +257,26 @@ class _Extraction:
                 depth -= 1
                 if depth == 0:
                     return
-        self._diag(f"unbalanced {opener!r}", self.lines[start])
+        self._diag(f"unbalanced {opener!r}", start)
+
+    def _skip_body(self) -> None:
+        """Skip the unlexed body of the '{' under the cursor by counting braces."""
+        depth = 1
+        for match in _BODY_RE.finditer(self.text, self.lexed_to):
+            kind = match.lastgroup
+            if kind == "open":
+                depth += 1
+            elif kind == "close":
+                depth -= 1
+                if depth == 0:
+                    self.lexed_to = match.end()
+                    self.pos += 1
+                    return
+            elif kind in _CLOSERS:
+                self._check_closed(match, kind)
+        self.lexed_to = len(self.text)
+        self._diag("unbalanced '{'", self.pos)
+        self.pos += 1
 
     def _skip_annotation(self) -> None:
         """Skip ``@Name``, ``@pkg.Name``, ``@Name(...)``; cursor on '@'."""
@@ -214,7 +293,7 @@ class _Extraction:
 
     def _skip_statement(self) -> None:
         """Recovery: drop tokens up to the next ';', balanced '{...}', or '}'."""
-        while self.pos < len(self.tokens):
+        while self.pos < len(self.tokens) or self._fill():
             value = self.tokens[self.pos]
             if value == ";":
                 self.pos += 1
@@ -237,7 +316,7 @@ class _Extraction:
     # -- grammar --
 
     def run(self) -> list[Identifier]:
-        while self.pos < len(self.tokens):
+        while self.pos < len(self.tokens) or self._fill():
             value = self.tokens[self.pos]
             if value == "package":
                 self._parse_package()
@@ -251,15 +330,16 @@ class _Extraction:
             elif value == "@":
                 self._skip_annotation()
             elif value == "}":
-                self._diag("unmatched '}' at top level", self.lines[self.pos])
+                self._diag("unmatched '}' at top level", self.pos)
                 self.pos += 1
             elif value == "{":
-                self._diag("unexpected '{' at top level", self.lines[self.pos])
+                self._diag("unexpected '{' at top level", self.pos)
                 self._skip_balanced()
             else:
-                self._diag(f"unexpected {value!r} at top level", self.lines[self.pos])
+                self._diag(f"unexpected {value!r} at top level", self.pos)
                 self.pos += 1
                 self._skip_statement()
+        self.unit.diagnostics += self.lexer_diagnostics + self.parser_diagnostics
         return self.out
 
     def _parse_package(self) -> None:
@@ -275,10 +355,10 @@ class _Extraction:
             self.pos += 1
         self._skip_statement()
         if not segments:
-            self._diag("package declaration without a name", self.lines[start])
+            self._diag("package declaration without a name", start)
             return
         self.package = tuple(segments)
-        self._emit(IdentifierKind.PACKAGE, segments[-1], self.package[:-1], self.lines[start])
+        self._emit(IdentifierKind.PACKAGE, segments[-1], self.package[:-1], start)
 
     def _parse_type(self, scope: tuple[str, ...]) -> None:
         """Parse a type declaration; cursor on its keyword (or '@')."""
@@ -287,17 +367,17 @@ class _Extraction:
         self.pos += 2 if self.tokens[start] == "@" else 1  # '@' 'interface'
         name = self._peek()
         if not _is_name(name):
-            self._diag("type declaration without a name", self.lines[start])
+            self._diag("type declaration without a name", start)
             self._skip_statement()
             return
         name_at = self.pos
         self.pos += 1
-        self._emit(IdentifierKind.CLASS, name, scope, self.lines[name_at])
+        self._emit(IdentifierKind.CLASS, name, scope, name_at)
 
         # Skim the header (generics, extends/implements/permits, record
         # components) up to the body.
         angle = 0
-        while self.pos < len(self.tokens):
+        while self.pos < len(self.tokens) or self._fill():
             value = self.tokens[self.pos]
             if value == "<":
                 angle += 1
@@ -316,7 +396,7 @@ class _Extraction:
                 if value == "}":
                     return
             self.pos += 1
-        self._diag(f"missing body for type {name!r}", self.lines[name_at])
+        self._diag(f"missing body for type {name!r}", name_at)
 
     def _parse_body(self, scope: tuple[str, ...], is_enum: bool) -> None:
         """Parse a type body; cursor on '{'."""
@@ -324,16 +404,16 @@ class _Extraction:
         self.pos += 1
         if is_enum and not self._parse_enum_constants(scope, open_at):
             return
-        while self.pos < len(self.tokens):
+        while self.pos < len(self.tokens) or self._fill():
             if self.tokens[self.pos] == "}":
                 self.pos += 1
                 return
             self._parse_member(scope)
-        self._diag("unbalanced '{'", self.lines[open_at])
+        self._diag("unbalanced '{'", open_at)
 
     def _parse_enum_constants(self, scope: tuple[str, ...], open_at: int) -> bool:
         """Enum constant section; returns False if the body already ended."""
-        while self.pos < len(self.tokens):
+        while self.pos < len(self.tokens) or self._fill():
             value = self.tokens[self.pos]
             if value == "@":
                 self._skip_annotation()
@@ -345,7 +425,7 @@ class _Extraction:
                 self.pos += 1
                 continue
             if _is_name(value):
-                self._emit(IdentifierKind.ATTRIBUTE, value, scope, self.lines[self.pos])
+                self._emit(IdentifierKind.ATTRIBUTE, value, scope, self.pos)
                 self.pos += 1
                 if self._peek() == "(":
                     self._skip_balanced()
@@ -354,9 +434,9 @@ class _Extraction:
                     # constant's own name
                     self._parse_body(scope + (value,), is_enum=False)
                 continue
-            self._diag(f"unexpected {value!r} in enum constants", self.lines[self.pos])
+            self._diag(f"unexpected {value!r} in enum constants", self.pos)
             self.pos += 1
-        self._diag("unbalanced '{'", self.lines[open_at])
+        self._diag("unbalanced '{'", open_at)
         return False
 
     def _parse_member(self, scope: tuple[str, ...]) -> None:
@@ -364,7 +444,7 @@ class _Extraction:
         name_at = -1  # position of the latest name outside type arguments
         prev = ""
         angle = 0
-        while self.pos < len(self.tokens):
+        while self.pos < len(self.tokens) or self._fill():
             value = self.tokens[self.pos]
             if _is_name(value):
                 if angle == 0 and prev != "." and self._at_type(value):
@@ -387,41 +467,41 @@ class _Extraction:
                 name = self.tokens[name_at] if name_at >= 0 else None
                 if value == "(":
                     if name is None or name in _KEYWORDS_NEVER_NAMES:
-                        self._diag("stray '(' in type body", self.lines[self.pos])
+                        self._diag("stray '(' in type body", self.pos)
                         self._skip_balanced()
                         self._skip_statement()
                         return
-                    self._emit(IdentifierKind.METHOD, name, scope, self.lines[name_at])
+                    self._emit(IdentifierKind.METHOD, name, scope, name_at)
                     params_at = self.pos
                     self._skip_balanced()
                     self._finish_method(params_at)
                 elif value == "=" or value == ",":
                     if name is not None:
-                        self._emit(IdentifierKind.ATTRIBUTE, name, scope, self.lines[name_at])
+                        self._emit(IdentifierKind.ATTRIBUTE, name, scope, name_at)
                     first_at = self.pos if name is None else name_at
                     self.pos += 1
                     self._finish_field_declarators(scope, value == ",", first_at)
                 elif value == ";":
                     if name is not None and name not in _KEYWORDS_NEVER_NAMES:
-                        self._emit(IdentifierKind.ATTRIBUTE, name, scope, self.lines[name_at])
+                        self._emit(IdentifierKind.ATTRIBUTE, name, scope, name_at)
                     self.pos += 1
                 elif value == "{":
                     # static/instance initializer block (or recovery)
                     if name is not None and name not in _MODIFIERS:
-                        self._diag(f"unexpected '{{' after {name!r}", self.lines[self.pos])
+                        self._diag(f"unexpected '{{' after {name!r}", self.pos)
                     self._skip_balanced()
                 elif name is not None:  # '}'
-                    self._diag("incomplete member before '}'", self.lines[self.pos])
+                    self._diag("incomplete member before '}'", self.pos)
                 return
             self.pos += 1
             prev = value
         if name_at >= 0:
-            self._diag("incomplete member at end of file", self.lines[name_at])
+            self._diag("incomplete member at end of file", name_at)
 
     def _finish_method(self, params_at: int) -> None:
         """After the parameter list: throws clause, then body, ';', or default."""
         saw_default = False
-        while self.pos < len(self.tokens):
+        while self.pos < len(self.tokens) or self._fill():
             value = self.tokens[self.pos]
             if value == "@":
                 self._skip_annotation()
@@ -439,12 +519,12 @@ class _Extraction:
                     continue
                 return
             if value == "}":
-                self._diag("method declaration ends abruptly", self.lines[params_at])
+                self._diag("method declaration ends abruptly", params_at)
                 return
             if value == "default":
                 saw_default = True
             self.pos += 1
-        self._diag("method declaration ends at end of file", self.lines[params_at])
+        self._diag("method declaration ends at end of file", params_at)
 
     def _finish_field_declarators(
         self, scope: tuple[str, ...], expect_name: bool, first_at: int
@@ -454,10 +534,10 @@ class _Extraction:
         ``first_at`` is the position of the first declarator, where an
         unfinished declaration is reported.
         """
-        while self.pos < len(self.tokens):
+        while self.pos < len(self.tokens) or self._fill():
             value = self.tokens[self.pos]
             if expect_name and _is_name(value):
-                self._emit(IdentifierKind.ATTRIBUTE, value, scope, self.lines[self.pos])
+                self._emit(IdentifierKind.ATTRIBUTE, value, scope, self.pos)
                 expect_name = False
             elif value in _OPEN_TO_CLOSE:
                 self._skip_balanced()
@@ -468,10 +548,10 @@ class _Extraction:
             elif value == ",":
                 expect_name = True
             elif value == "}":
-                self._diag("field declaration ends abruptly", self.lines[self.pos])
+                self._diag("field declaration ends abruptly", self.pos)
                 return
             self.pos += 1
-        self._diag("field declaration ends at end of file", self.lines[first_at])
+        self._diag("field declaration ends at end of file", first_at)
 
 
 def extract_identifiers(unit: SourceUnit) -> list[Identifier]:

@@ -28,7 +28,6 @@ from codecloud import (
     compute_stats,
     evaluate,
     extract_corpus,
-    load_lexicon,
     render_svg,
     scan_tree,
     split_identifier,

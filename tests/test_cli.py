@@ -21,12 +21,11 @@ from bigcorpus import write_big_corpus
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "codecloud", *map(str, args)],
         capture_output=True,
         text=True,
-        cwd=cwd,
     )
 
 

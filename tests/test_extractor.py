@@ -126,21 +126,38 @@ def test_anonymous_class_in_initializer_is_skipped():
     ]
 
 
-def test_method_bodies_are_not_scanned():
-    ids = extract_identifiers(
-        _unit(
-            "class A {\n"
-            "    void m() {\n"
-            "        int local = 1;\n"
-            "        class Local { int inner; }\n"
-            "    }\n"
-            "}\n"
-        )
-    )
+_BODIES = {
+    "local_class": "\n        int local = 1;\n        class Local { int inner; }\n    ",
+    "string": 'String s = "}";',
+    "string_escapes": 'String s = "\\"}"; String t = "{\\\\";',
+    "char": "char c = '}'; char d = '{';",
+    "char_escape": "char q = '\\''; char r = '}';",
+    "line_comment": "// } closes nothing\n",
+    "block_comment": "/* } { */ /*/ } */",
+    "text_block": 'String t = """\n        } "quoted" {\n        """;',
+    "nested_blocks": "if (x) { { } } else { }",
+    "lambdas": "Runnable r = () -> { }; f(y -> { return y / 2; });",
+}
+
+_CONTAINERS = {
+    "method": ("void m() {%s}", [(IdentifierKind.METHOD, "m")]),
+    "initializer": ("static {%s}", []),
+    "array": ("int[][] grid = {{1}, {%s}};", [(IdentifierKind.ATTRIBUTE, "grid")]),
+    "anonymous": ("Object o = new Object() { void run() {%s} };", [(IdentifierKind.ATTRIBUTE, "o")]),
+}
+
+
+@pytest.mark.parametrize("body", _BODIES.values(), ids=_BODIES.keys())
+@pytest.mark.parametrize(("container", "expected"), _CONTAINERS.values(), ids=_CONTAINERS.keys())
+def test_method_bodies_are_not_scanned(body, container, expected):
+    unit = _unit("class A {\n    " + container % body + "\n    int after;\n}\n")
+    ids = extract_identifiers(unit)
     assert _kinds_and_names(ids) == [
         (IdentifierKind.CLASS, "A"),
-        (IdentifierKind.METHOD, "m"),
+        *expected,
+        (IdentifierKind.ATTRIBUTE, "after"),
     ]
+    assert unit.diagnostics == []
 
 
 def test_static_initializer_contributes_nothing():
@@ -305,7 +322,8 @@ def test_broken_source_recovers_with_diagnostics(broken_dir):
 
 def test_garbage_never_raises():
     for text in ("", ";;;", "} } {", "class", "%%%", 'String s = "unterminated',
-                 "/* unterminated", "class A { void m( }"):
+                 "/* unterminated", "class A { void m( }",
+                 "class A {}" + " " * 50_000):  # a long tail of whitespace lexes in linear time
         unit = _unit(text)
         extract_identifiers(unit)  # must not raise
 
@@ -363,6 +381,14 @@ def test_json_dump_shape(drawing_shapes_ids):
             "class A {\n\n = 1",
             [("field declaration ends at end of file", 3), ("unbalanced '{'", 1)],
         ),
+        # Java's "/*/" opens a comment without closing it
+        ("class A {}\n/*/", [("unterminated block comment", 2)]),
+        # literals are checked inside skipped bodies too, at their own line
+        (
+            'class A {\n void m() {\n  f("open\n  );\n }\n int after;\n}',
+            [("unterminated string literal", 3)],
+        ),
+        ("class A {\n void m() {\n  int x = 1;\n", [("unbalanced '{'", 2), ("unbalanced '{'", 1)]),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -381,7 +407,7 @@ _SOUP = st.sampled_from(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(["", "class A {\n", "enum E { C;\n"]),
+    st.sampled_from(["", "class A {\n", "enum E { C;\n", "class A { void m() {\n"]),
     st.lists(st.tuples(_SOUP, st.sampled_from([" ", "\n", ""])), max_size=200),
 )
 def test_token_soup_extracts_without_raising(opening, pieces):
