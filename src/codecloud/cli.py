@@ -16,8 +16,6 @@ from . import __version__
 from .cloudmodel import (
     CloudKind,
     FilterConfig,
-    Tag,
-    TagCloud,
     build_cloud,
     build_tags,
     cloud_to_json_dict,
@@ -118,33 +116,21 @@ def build_parser() -> argparse.ArgumentParser:
     cloud.add_argument("--title-case", action="store_true", help="capitalize tag labels")
     cloud.set_defaults(handler=cmd_cloud)
 
-    stats = subparsers.add_parser("stats", help="print corpus statistics")
-    _add_corpus_arguments(stats)
-    stats.add_argument("--no-stopwords", action="store_true", help="keep stop words as tags")
-    stats.add_argument(
-        "--format",
-        choices=("table", "csv", "json"),
-        default="table",
-        help="output format (default: table)",
-    )
-    _add_output_argument(stats)
-    stats.set_defaults(handler=cmd_stats)
-
-    evalp = subparsers.add_parser(
-        "eval", help="check every tag weight against the independent oracle"
-    )
-    _add_corpus_arguments(evalp)
-    evalp.add_argument("--no-stopwords", action="store_true", help="keep stop words as tags")
-    evalp.add_argument(
-        "--format",
-        choices=("table", "csv", "json"),
-        default="table",
-        help="output format (default: table)",
-    )
-    _add_output_argument(evalp)
-    # negative-control mode for regression tests
-    evalp.add_argument("--corrupt-weights", type=int, default=0, help=argparse.SUPPRESS)
-    evalp.set_defaults(handler=cmd_eval)
+    for name, purpose, handler in (
+        ("stats", "print corpus statistics", cmd_stats),
+        ("eval", "check every tag weight against the independent oracle", cmd_eval),
+    ):
+        report = subparsers.add_parser(name, help=purpose)
+        _add_corpus_arguments(report)
+        report.add_argument("--no-stopwords", action="store_true", help="keep stop words as tags")
+        report.add_argument(
+            "--format",
+            choices=("table", "csv", "json"),
+            default="table",
+            help="output format (default: table)",
+        )
+        _add_output_argument(report)
+        report.set_defaults(handler=handler)
 
     dump = subparsers.add_parser("dump-identifiers", help="dump extracted identifiers as JSON")
     _add_corpus_arguments(dump)
@@ -277,12 +263,6 @@ def cmd_eval(args) -> int:
         stop_words_enabled=not args.no_stopwords,
     )
     cloud = build_cloud(ids, CloudKind.ALL, lexicon, cfg, _corpus_label(args.root))
-    if args.corrupt_weights:
-        corrupted = tuple(
-            Tag(tag.stem, tag.weight + args.corrupt_weights, tag.contributors)
-            for tag in cloud.tags
-        )
-        cloud = TagCloud(cloud.kind, corrupted, cloud.filters, cloud.corpus_label)
     report = evaluate(cloud, ids, lexicon)
     if args.format == "csv":
         text = report_to_csv(report)

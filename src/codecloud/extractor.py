@@ -13,7 +13,8 @@ an unterminated literal or comment inside them is still diagnosed.  Local
 variables, parameters, and type parameters are never inspected, so the
 parser needs no expression grammar.  Files that do not parse cleanly
 recover at the next plausible boundary and report diagnostics instead of
-failing.
+failing.  Open type bodies are kept on an explicit stack, not in recursion,
+so no nesting depth makes extraction raise.
 """
 
 from __future__ import annotations
@@ -103,13 +104,14 @@ def identifier_to_dict(identifier: Identifier) -> dict:
 # --- lexer ---------------------------------------------------------------
 
 #: Comments and literals, shared by the token scanner and the body scanner so
-#: that the two agree on where each one ends.
+#: that the two agree on where each one ends.  A backslash escapes the next
+#: character in a literal, so an escaped quote never closes one.
 _COMMENTS_AND_LITERALS = r"""
       (?P<line_comment>//[^\n]*)
-    | (?P<block_comment>/\*.*?(?:\*/|\Z))
-    | (?P<text_block>\"{3}.*?(?:\"{3}|\Z))
-    | (?P<string>"(?:\\.|[^"\\\n])*"?)
-    | (?P<char>'(?:\\.|[^'\\\n])*'?)
+    | (?P<block_comment>/\*.*?(?:(?P<block_comment_end>\*/)|\Z))
+    | (?P<text_block>\"{3}(?:\\.|.)*?(?:(?P<text_block_end>\"{3})|\Z))
+    | (?P<string>"(?:\\.|[^"\\\n])*(?P<string_end>")?)
+    | (?P<char>'(?:\\.|[^'\\\n])*(?P<char_end>')?)
 """
 
 #: One token after optional whitespace.  The final ``\Z`` takes trailing
@@ -133,13 +135,12 @@ _BODY_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-#: group -> (closing text, characters of the opening it must follow, name in
-#: the diagnostic)
+#: group -> (its closing delimiter's group, name in the diagnostic)
 _CLOSERS = {
-    "block_comment": ("*/", 2, "block comment"),
-    "text_block": ('"""', 3, "text block"),
-    "string": ('"', 1, "string literal"),
-    "char": ("'", 1, "character literal"),
+    "block_comment": ("block_comment_end", "block comment"),
+    "text_block": ("text_block_end", "text block"),
+    "string": ("string_end", "string literal"),
+    "char": ("char_end", "character literal"),
 }
 _COMMENTS = frozenset({"line_comment", "block_comment"})
 
@@ -162,17 +163,23 @@ class _Extraction:
     :data:`_BODY_RE` instead.  Line numbers are computed from offsets only
     where something is emitted or diagnosed.
 
-    ``scope`` arguments are the enclosing package segments and type names.
+    ``scope`` arguments are the qualified-name prefix of the enclosing package
+    and types: their names, each followed by '.'.
+    ``bodies`` is the stack of open type bodies, innermost last: each entry
+    holds the body's scope, the position of its '{' and whether the body is
+    still in its enum-constant section.  :meth:`run` parses the innermost
+    body's next member, so nesting depth costs no recursion.
     """
 
     def __init__(self, unit: SourceUnit):
-        self.unit = unit
+        self.path = unit.path
         self.text = unit.text
         self.lexed_to = 0  # offset where lexing resumes
         self.tokens: list[str] = []
         self.offsets: list[int] = []
         self.pos = 0
-        self.package: tuple[str, ...] = ()
+        self.bodies: list[tuple[str, int, bool]] = []
+        self.package = ""
         self.out: list[Identifier] = []
         self.lexer_diagnostics: list[Diagnostic] = []
         self.parser_diagnostics: list[Diagnostic] = []
@@ -201,8 +208,8 @@ class _Extraction:
         return len(self.tokens) > count
 
     def _check_closed(self, match: re.Match, kind: str) -> None:
-        closer, start, what = _CLOSERS[kind]
-        if not match.group(kind).endswith(closer, start):
+        closer, what = _CLOSERS[kind]
+        if match.group(closer) is None:
             line = self._line(match.start(kind))
             self.lexer_diagnostics.append(Diagnostic(f"unterminated {what}", line))
 
@@ -229,13 +236,12 @@ class _Extraction:
         """Report ``message`` at the line of the token at index ``at``."""
         self.parser_diagnostics.append(Diagnostic(message, self._line(self.offsets[at])))
 
-    def _emit(self, kind: IdentifierKind, simple: str, scope: tuple[str, ...], at: int) -> None:
+    def _emit(self, kind: IdentifierKind, simple: str, scope: str, at: int) -> None:
         if not IDENTIFIER_RE.fullmatch(simple):
             self._diag(f"skipping malformed identifier {simple!r}", at)
             return
-        qualified = ".".join(scope + (simple,))
         line = self._line(self.offsets[at])
-        self.out.append(Identifier(kind, simple, qualified, self.unit.path, line, len(self.out)))
+        self.out.append(Identifier(kind, simple, scope + simple, self.path, line, len(self.out)))
 
     def _skip_balanced(self) -> None:
         """Skip past a balanced bracket group; cursor sits on the opener."""
@@ -315,10 +321,19 @@ class _Extraction:
 
     # -- grammar --
 
-    def run(self) -> list[Identifier]:
+    def run(self) -> tuple[list[Identifier], list[Diagnostic]]:
         while self.pos < len(self.tokens) or self._fill():
             value = self.tokens[self.pos]
-            if value == "package":
+            if self.bodies:
+                scope, open_at, in_constants = self.bodies[-1]
+                if value == "}":
+                    self.pos += 1
+                    self.bodies.pop()
+                elif in_constants:
+                    self._parse_enum_constant(value, scope, open_at)
+                else:
+                    self._parse_member(scope)
+            elif value == "package":
                 self._parse_package()
             elif value == "import":
                 self.pos += 1
@@ -339,8 +354,9 @@ class _Extraction:
                 self._diag(f"unexpected {value!r} at top level", self.pos)
                 self.pos += 1
                 self._skip_statement()
-        self.unit.diagnostics += self.lexer_diagnostics + self.parser_diagnostics
-        return self.out
+        for _, open_at, _ in reversed(self.bodies):
+            self._diag("unbalanced '{'", open_at)
+        return self.out, self.lexer_diagnostics + self.parser_diagnostics
 
     def _parse_package(self) -> None:
         start = self.pos
@@ -357,11 +373,12 @@ class _Extraction:
         if not segments:
             self._diag("package declaration without a name", start)
             return
-        self.package = tuple(segments)
-        self._emit(IdentifierKind.PACKAGE, segments[-1], self.package[:-1], start)
+        prefix = "".join(segment + "." for segment in segments[:-1])
+        self._emit(IdentifierKind.PACKAGE, segments[-1], prefix, start)
+        self.package = prefix + segments[-1] + "."
 
-    def _parse_type(self, scope: tuple[str, ...]) -> None:
-        """Parse a type declaration; cursor on its keyword (or '@')."""
+    def _parse_type(self, scope: str) -> None:
+        """Parse a type header and open its body; cursor on its keyword (or '@')."""
         start = self.pos
         is_enum = self.tokens[start] == "enum"
         self.pos += 2 if self.tokens[start] == "@" else 1  # '@' 'interface'
@@ -388,7 +405,8 @@ class _Extraction:
                     self._skip_balanced()
                     continue
                 if value == "{":
-                    self._parse_body(scope + (name,), is_enum)
+                    self.bodies.append((scope + name + ".", self.pos, is_enum))
+                    self.pos += 1
                     return
                 if value == ";":
                     self.pos += 1
@@ -398,48 +416,30 @@ class _Extraction:
             self.pos += 1
         self._diag(f"missing body for type {name!r}", name_at)
 
-    def _parse_body(self, scope: tuple[str, ...], is_enum: bool) -> None:
-        """Parse a type body; cursor on '{'."""
-        open_at = self.pos
-        self.pos += 1
-        if is_enum and not self._parse_enum_constants(scope, open_at):
-            return
-        while self.pos < len(self.tokens) or self._fill():
-            if self.tokens[self.pos] == "}":
+    def _parse_enum_constant(self, value: str, scope: str, open_at: int) -> None:
+        """One step of the innermost body's enum-constant section."""
+        if value == "@":
+            self._skip_annotation()
+        elif value == ";":
+            self.pos += 1
+            self.bodies[-1] = (scope, open_at, False)
+        elif value == ",":
+            self.pos += 1
+        elif _is_name(value):
+            self._emit(IdentifierKind.ATTRIBUTE, value, scope, self.pos)
+            self.pos += 1
+            if self._peek() == "(":
+                self._skip_balanced()
+            if self._peek() == "{":
+                # constant body: an anonymous subclass scoped by the
+                # constant's own name
+                self.bodies.append((scope + value + ".", self.pos, False))
                 self.pos += 1
-                return
-            self._parse_member(scope)
-        self._diag("unbalanced '{'", open_at)
-
-    def _parse_enum_constants(self, scope: tuple[str, ...], open_at: int) -> bool:
-        """Enum constant section; returns False if the body already ended."""
-        while self.pos < len(self.tokens) or self._fill():
-            value = self.tokens[self.pos]
-            if value == "@":
-                self._skip_annotation()
-                continue
-            if value == ";" or value == "}":
-                self.pos += 1
-                return value == ";"
-            if value == ",":
-                self.pos += 1
-                continue
-            if _is_name(value):
-                self._emit(IdentifierKind.ATTRIBUTE, value, scope, self.pos)
-                self.pos += 1
-                if self._peek() == "(":
-                    self._skip_balanced()
-                if self._peek() == "{":
-                    # constant body: an anonymous subclass scoped by the
-                    # constant's own name
-                    self._parse_body(scope + (value,), is_enum=False)
-                continue
+        else:
             self._diag(f"unexpected {value!r} in enum constants", self.pos)
             self.pos += 1
-        self._diag("unbalanced '{'", open_at)
-        return False
 
-    def _parse_member(self, scope: tuple[str, ...]) -> None:
+    def _parse_member(self, scope: str) -> None:
         """One member: nested type, initializer block, field(s), or method."""
         name_at = -1  # position of the latest name outside type arguments
         prev = ""
@@ -527,7 +527,7 @@ class _Extraction:
         self._diag("method declaration ends at end of file", params_at)
 
     def _finish_field_declarators(
-        self, scope: tuple[str, ...], expect_name: bool, first_at: int
+        self, scope: str, expect_name: bool, first_at: int
     ) -> None:
         """Remaining ``, next [= init]`` declarators up to ';'.
 
@@ -554,11 +554,11 @@ class _Extraction:
         self._diag("field declaration ends at end of file", first_at)
 
 
-def extract_identifiers(unit: SourceUnit) -> list[Identifier]:
+def extract_identifiers(unit: SourceUnit) -> tuple[list[Identifier], list[Diagnostic]]:
     """Extract all declared identifiers from one source unit, in source order.
 
-    Parse trouble is recorded on ``unit.diagnostics``; extraction never
-    raises for malformed source.
+    Returns them with the unit's parse diagnostics and leaves ``unit`` as it
+    is; extraction never raises for malformed source.
     """
     return _Extraction(unit).run()
 
@@ -596,40 +596,33 @@ def scan_tree(root: str | Path) -> list[SourceUnit]:
     return units
 
 
-def _extract_for_merge(unit: SourceUnit) -> tuple[list[Identifier], list[Diagnostic]]:
-    return extract_identifiers(unit), unit.diagnostics
-
-
 def extract_corpus(units: list[SourceUnit], parallel: bool | None = None) -> list[Identifier]:
     """Extract identifiers from all units and assemble the corpus list.
 
     Units are processed independently (optionally across processes) and
     merged in path order, so the result does not depend on scheduling.
+    Each unit's parse diagnostics are appended to ``unit.diagnostics``.
     Package declarations are deduplicated corpus-wide by qualified name,
     keeping the first occurrence; surviving identifiers keep their original
     per-file ordinals.
     """
     if parallel is None:
         parallel = len(units) >= _PARALLEL_MIN_FILES
-    results: list[list[Identifier]] | None = None
+    results = None
     if parallel:
         try:
             with futures.ProcessPoolExecutor() as pool:
                 chunk = max(1, len(units) // (4 * (os.cpu_count() or 1)))
-                merged = list(pool.map(_extract_for_merge, units, chunksize=chunk))
-            results = []
-            for unit, (ids, diags) in zip(units, merged):
-                unit.diagnostics[:] = diags
-                results.append(ids)
+                results = list(pool.map(extract_identifiers, units, chunksize=chunk))
         except OSError as exc:  # e.g. sandboxes without working semaphores
             log.warning("parallel extraction unavailable (%s); running sequentially", exc)
-            results = None
     if results is None:
         results = [extract_identifiers(unit) for unit in units]
 
     corpus: list[Identifier] = []
     seen_packages: set[str] = set()
-    for ids in results:
+    for unit, (ids, diagnostics) in zip(units, results):
+        unit.diagnostics += diagnostics
         for identifier in ids:
             if identifier.kind is IdentifierKind.PACKAGE:
                 if identifier.qualified_name in seen_packages:

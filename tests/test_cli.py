@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,7 +10,9 @@ from codecloud import (
     CloudKind,
     FilterConfig,
     RenderConfig,
+    Tag,
     build_cloud,
+    cli,
     cloud_from_json_dict,
     extract_corpus,
     render_svg,
@@ -173,10 +176,15 @@ def test_eval_perfect_on_fixture(drawing_shapes_dir):
     assert "all tags perfect: yes" in result.stdout
 
 
-def test_eval_corrupted_weights_exit_four(drawing_shapes_dir):
-    result = run_cli("eval", drawing_shapes_dir, "--corrupt-weights", "5")
-    assert result.returncode == 4
-    assert "all tags perfect: NO" in result.stdout
+def test_eval_corrupted_weights_exit_four(drawing_shapes_dir, monkeypatch, capsys):
+    def raised_weights(*args):
+        cloud = build_cloud(*args)
+        tags = tuple(Tag(tag.stem, tag.weight + 5, tag.contributors) for tag in cloud.tags)
+        return dataclasses.replace(cloud, tags=tags)
+
+    monkeypatch.setattr(cli, "build_cloud", raised_weights)
+    assert cli.main(["eval", str(drawing_shapes_dir)]) == 4
+    assert "all tags perfect: NO" in capsys.readouterr().out
 
 
 def test_eval_empty_directory(tmp_path):
@@ -251,6 +259,13 @@ def test_eval_perfect_on_big_corpus(big_corpus):
     root, _ = big_corpus
     result = run_cli("eval", root, "--format", "csv")
     assert result.returncode == 0
+
+
+def test_cloud_on_deeply_nested_source(tmp_path):
+    (tmp_path / "Deep.java").write_text("class Deep {\n" * 400 + "}\n" * 400)
+    result = run_cli("cloud", tmp_path, "--format", "csv")
+    assert result.returncode == 0
+    assert result.stdout == "stem,weight\ndeep,400\n"
 
 
 def test_broken_fixture_warns_and_succeeds(broken_dir):

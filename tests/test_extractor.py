@@ -23,7 +23,7 @@ def _kinds_and_names(ids):
 
 
 def test_one_declaration_of_each_kind():
-    ids = extract_identifiers(
+    ids, _ = extract_identifiers(
         _unit("package shapes; class DrawingShapes { int width; void drawShape() {} }")
     )
     assert _kinds_and_names(ids) == [
@@ -35,7 +35,7 @@ def test_one_declaration_of_each_kind():
 
 
 def test_multi_declarator_field():
-    ids = extract_identifiers(_unit("class A { int x, y; }"))
+    ids, _ = extract_identifiers(_unit("class A { int x, y; }"))
     assert _kinds_and_names(ids) == [
         (IdentifierKind.CLASS, "A"),
         (IdentifierKind.ATTRIBUTE, "x"),
@@ -44,14 +44,14 @@ def test_multi_declarator_field():
 
 
 def test_multi_declarator_with_initializers():
-    ids = extract_identifiers(
+    ids, _ = extract_identifiers(
         _unit("class A { int a = f(1, 2), b, c; int[] d = {1, 2}, e; }")
     )
     assert [i.simple_name for i in ids] == ["A", "a", "b", "c", "d", "e"]
 
 
 def test_constructor_counts_as_method():
-    ids = extract_identifiers(_unit("class A { A() {} A(int x) {} }"))
+    ids, _ = extract_identifiers(_unit("class A { A() {} A(int x) {} }"))
     assert _kinds_and_names(ids) == [
         (IdentifierKind.CLASS, "A"),
         (IdentifierKind.METHOD, "A"),
@@ -60,7 +60,7 @@ def test_constructor_counts_as_method():
 
 
 def test_interface_enum_annotation_count_as_classes():
-    ids = extract_identifiers(
+    ids, _ = extract_identifiers(
         _unit("interface I {} enum E { ONE } @interface N { String value(); }")
     )
     assert _kinds_and_names(ids) == [
@@ -73,7 +73,7 @@ def test_interface_enum_annotation_count_as_classes():
 
 
 def test_generics_do_not_confuse_declarators():
-    ids = extract_identifiers(
+    ids, _ = extract_identifiers(
         _unit(
             "import java.util.*;\n"
             "class A {\n"
@@ -90,13 +90,14 @@ def test_generics_do_not_confuse_declarators():
 
 
 def test_strings_comments_and_annotations_are_ignored():
-    ids = extract_identifiers(
+    ids, _ = extract_identifiers(
         _unit(
             "// class NotReal { int bogus; }\n"
             "/* void alsoBogus() {} */\n"
             "@SuppressWarnings({\"unchecked\", \"rawtypes\"})\n"
             "class A {\n"
             "    String s = \"class Fake { } \\\" still a string\";\n"
+            '    String t = """\n        \\""" class Fake { }\n        """;\n'
             "    char c = '{';\n"
             "    @Deprecated int real;\n"
             "}\n"
@@ -105,13 +106,14 @@ def test_strings_comments_and_annotations_are_ignored():
     assert _kinds_and_names(ids) == [
         (IdentifierKind.CLASS, "A"),
         (IdentifierKind.ATTRIBUTE, "s"),
+        (IdentifierKind.ATTRIBUTE, "t"),
         (IdentifierKind.ATTRIBUTE, "c"),
         (IdentifierKind.ATTRIBUTE, "real"),
     ]
 
 
 def test_anonymous_class_in_initializer_is_skipped():
-    ids = extract_identifiers(
+    ids, _ = extract_identifiers(
         _unit(
             "class A {\n"
             "    Runnable r = new Runnable() { public void run() { } };\n"
@@ -135,6 +137,7 @@ _BODIES = {
     "line_comment": "// } closes nothing\n",
     "block_comment": "/* } { */ /*/ } */",
     "text_block": 'String t = """\n        } "quoted" {\n        """;',
+    "text_block_escape": 'String t = """\n        \\""" x\n        """;',
     "nested_blocks": "if (x) { { } } else { }",
     "lambdas": "Runnable r = () -> { }; f(y -> { return y / 2; });",
 }
@@ -150,18 +153,19 @@ _CONTAINERS = {
 @pytest.mark.parametrize("body", _BODIES.values(), ids=_BODIES.keys())
 @pytest.mark.parametrize(("container", "expected"), _CONTAINERS.values(), ids=_CONTAINERS.keys())
 def test_method_bodies_are_not_scanned(body, container, expected):
-    unit = _unit("class A {\n    " + container % body + "\n    int after;\n}\n")
-    ids = extract_identifiers(unit)
+    ids, diagnostics = extract_identifiers(
+        _unit("class A {\n    " + container % body + "\n    int after;\n}\n")
+    )
     assert _kinds_and_names(ids) == [
         (IdentifierKind.CLASS, "A"),
         *expected,
         (IdentifierKind.ATTRIBUTE, "after"),
     ]
-    assert unit.diagnostics == []
+    assert diagnostics == []
 
 
 def test_static_initializer_contributes_nothing():
-    ids = extract_identifiers(_unit("class A { static { int x = 1; } int y; }"))
+    ids, _ = extract_identifiers(_unit("class A { static { int x = 1; } int y; }"))
     assert _kinds_and_names(ids) == [
         (IdentifierKind.CLASS, "A"),
         (IdentifierKind.ATTRIBUTE, "y"),
@@ -169,7 +173,7 @@ def test_static_initializer_contributes_nothing():
 
 
 def test_declaration_lines_are_recorded():
-    ids = extract_identifiers(
+    ids, _ = extract_identifiers(
         _unit(
             "package p;\n"          # line 1
             "\n"
@@ -191,7 +195,7 @@ def test_declaration_lines_are_recorded():
 
 
 def test_package_qualified_name_uses_last_segment():
-    ids = extract_identifiers(_unit("package a.b.c;"))
+    ids, _ = extract_identifiers(_unit("package a.b.c;"))
     assert len(ids) == 1
     assert ids[0].kind is IdentifierKind.PACKAGE
     assert ids[0].simple_name == "c"
@@ -323,9 +327,36 @@ def test_broken_source_recovers_with_diagnostics(broken_dir):
 def test_garbage_never_raises():
     for text in ("", ";;;", "} } {", "class", "%%%", 'String s = "unterminated',
                  "/* unterminated", "class A { void m( }",
-                 "class A {}" + " " * 50_000):  # a long tail of whitespace lexes in linear time
+                 "class A {}" + " " * 50_000,  # a long tail of whitespace lexes in linear time
+                 "class A {" * 5000, "class A {" * 5000 + "}" * 5000, "enum E { C {" * 2000):
         unit = _unit(text)
         extract_identifiers(unit)  # must not raise
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "unclosed"])
+@pytest.mark.parametrize(
+    ("opening", "closing", "depth", "declared"),
+    [
+        ("class A {\n", "}", 5000, [(IdentifierKind.CLASS, "A")]),
+        # each constant body holds the next enum
+        ("enum E { C {\n", "} }", 2000,
+         [(IdentifierKind.CLASS, "E"), (IdentifierKind.ATTRIBUTE, "C")]),
+    ],
+    ids=["classes", "enum_constant_bodies"],
+)
+def test_deep_nesting_keeps_every_declaration(opening, closing, depth, declared, closed):
+    text = opening * depth + (closing * depth if closed else "")
+    ids, diagnostics = extract_identifiers(_unit(text))
+    assert _kinds_and_names(ids) == declared * depth
+    assert [i.line for i in ids] == [1 + n // len(declared) for n in range(len(ids))]
+    assert ids[0].qualified_name == ids[0].simple_name
+    for outer, inner in zip(ids, ids[1:]):
+        assert inner.qualified_name == f"{outer.qualified_name}.{inner.simple_name}"
+    # every body left open is reported at its '{', innermost first
+    unclosed = [] if closed else [
+        ("unbalanced '{'", line) for line in range(depth, 0, -1) for _ in declared
+    ]
+    assert [(d.message, d.line) for d in diagnostics] == unclosed
 
 
 def test_json_dump_shape(drawing_shapes_ids):
@@ -389,12 +420,19 @@ def test_json_dump_shape(drawing_shapes_ids):
             [("unterminated string literal", 3)],
         ),
         ("class A {\n void m() {\n  int x = 1;\n", [("unbalanced '{'", 2), ("unbalanced '{'", 1)]),
+        # an escaped quote closes nothing
+        (
+            'class A { String s = "abc\\"',
+            [("unterminated string literal", 1), ("field declaration ends at end of file", 1),
+             ("unbalanced '{'", 1)],
+        ),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
     unit = _unit(source)
-    extract_identifiers(unit)
-    assert [(d.message, d.line) for d in unit.diagnostics] == expected
+    _, diagnostics = extract_identifiers(unit)
+    assert [(d.message, d.line) for d in diagnostics] == expected
+    assert unit == _unit(source)  # extraction leaves its input as it was
 
 
 _SOUP = st.sampled_from(
@@ -411,11 +449,20 @@ _SOUP = st.sampled_from(
     st.lists(st.tuples(_SOUP, st.sampled_from([" ", "\n", ""])), max_size=200),
 )
 def test_token_soup_extracts_without_raising(opening, pieces):
-    text = opening + "".join(token + sep for token, sep in pieces)
-    unit = _unit(text)
-    ids = extract_identifiers(unit)
+    _check_extraction(opening + "".join(token + sep for token, sep in pieces))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_any_text_extracts_without_raising(text):
+    _check_extraction(text)
+
+
+def _check_extraction(text):
+    """Extraction does not raise, and what it returns is well formed."""
+    ids, diagnostics = extract_identifiers(_unit(text))
     assert all(IDENTIFIER_RE.fullmatch(i.simple_name) for i in ids)
     assert [i.ordinal for i in ids] == list(range(len(ids)))
     last_line = text.count("\n") + 1
     assert all(1 <= i.line <= last_line for i in ids)
-    assert all(1 <= d.line <= last_line for d in unit.diagnostics)
+    assert all(1 <= d.line <= last_line for d in diagnostics)

@@ -1,0 +1,112 @@
+"""Compare the extractor at a git revision with the one in the working tree.
+
+    python tools/extractor_diff.py REV [ROOT ...] [--soups N] [--seed S]
+
+Loads ``src/codecloud/extractor.py`` as it is at REV (through ``git show``)
+next to the working tree's copy and runs both on every ``.java`` file under
+each ROOT and on N seeded token soups: random sequences of Java keywords,
+names, punctuation, literals and comments after an opening that leaves a
+class, enum, interface or method body open.  For each source it prints how
+many inputs give different identifiers or diagnostics, followed by the first
+few differences, and it exits with status 1 when any input differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from codecloud import extractor  # noqa: E402
+
+SHOWN = 3
+
+_OPENINGS = (
+    "", "class A {\n", "enum E { C;\n", "class A { void m() {\n",
+    "enum E { C { enum F { D {\n", "interface I {\n", "@interface N {\n",
+)
+_TOKENS = (
+    "package import class interface enum record extends implements permits throws "
+    "public static final abstract default sealed void int new return this A B x y "
+    "( ) { } [ ] ; , . @ < > = + - * / "
+    "\"s\" \" 'c' ' 1 1.5e3 \"\"\"\nt\"\"\" \"\"\" // /* */ $ _ \u0663"
+).split(" ")
+
+
+def load_at(rev: str) -> types.ModuleType:
+    """The extractor module as it is at ``rev``."""
+    name = f"{rev}:src/codecloud/extractor.py"
+    shown = subprocess.run(["git", "show", name], cwd=ROOT, capture_output=True, text=True)
+    if shown.returncode != 0:
+        sys.exit(f"extractor_diff: {shown.stderr.strip()}")
+    module = types.ModuleType("extractor_at_rev")
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    exec(compile(shown.stdout, name, "exec"), module.__dict__)
+    return module
+
+
+def outcome(module: types.ModuleType, path: str, text: str):
+    """Identifiers and diagnostics of one input, or the exception it raised."""
+    unit = module.SourceUnit(path, text)
+    try:
+        result = module.extract_identifiers(unit)
+    except Exception as exc:  # a raising revision is a difference to report
+        return f"raised {exc!r:.200}"
+    # older revisions return the identifiers and record diagnostics on the unit
+    ids, diagnostics = result if isinstance(result, tuple) else (result, unit.diagnostics)
+    return (
+        [(i.kind.value, i.simple_name, i.qualified_name, i.file, i.line, i.ordinal)
+         for i in ids],
+        [(d.message, d.line) for d in diagnostics],
+    )
+
+
+def soups(count: int, seed: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        length = rng.randrange(201)
+        pieces = (rng.choice(_TOKENS) + rng.choice((" ", "\n", "")) for _ in range(length))
+        yield rng.choice(_OPENINGS) + "".join(pieces)
+
+
+def compare(label: str, inputs, old: types.ModuleType) -> int:
+    """Print how many of ``inputs`` (path, text) differ; returns that count."""
+    total = differ = 0
+    for path, text in inputs:
+        total += 1
+        before, after = outcome(old, path, text), outcome(extractor, path, text)
+        if before != after:
+            differ += 1
+            if differ <= SHOWN:
+                print(f"  {path}: {text[:300]!r}\n    at REV:    {before!r:.600}\n"
+                      f"    here:      {after!r:.600}")
+    print(f"{label}: {total} inputs, {differ} differ")
+    return differ
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~")
+    parser.add_argument("roots", nargs="*", help="source trees whose .java files are compared")
+    parser.add_argument("--soups", type=int, default=100_000, metavar="N",
+                        help="number of token soups (default: 100000)")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the soups (default: 1)")
+    args = parser.parse_args(argv)
+    old = load_at(args.rev)
+    differ = 0
+    for root in args.roots:
+        units = extractor.scan_tree(root)
+        differ += compare(root, ((unit.path, unit.text) for unit in units), old)
+    inputs = (("soup.java", text) for text in soups(args.soups, args.seed))
+    differ += compare(f"soups (seed {args.seed})", inputs, old)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
