@@ -20,14 +20,12 @@ from .cloudmodel import (
     cloud_to_json_dict,
     compute_stats,
     stats_to_csv,
-    tags_of_identifier,
 )
 from .evaluator import (
     CorpusMismatchError,
     EvalReport,
     EvalRow,
     evaluate,
-    oracle_frequency,
     oracle_words,
 )
 from .extractor import (
@@ -75,7 +73,6 @@ __all__ = [
     "extract_identifiers",
     "font_size_for",
     "load_lexicon",
-    "oracle_frequency",
     "oracle_words",
     "render_html",
     "render_svg",
@@ -83,5 +80,4 @@ __all__ = [
     "split_identifier",
     "stats_to_csv",
     "stem_word",
-    "tags_of_identifier",
 ]

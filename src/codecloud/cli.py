@@ -221,12 +221,12 @@ def cmd_stats(args) -> int:
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     stats = compute_stats(ids, tags, elapsed_ms)
     label = _corpus_label(args.root)
+    row = stats_to_row(stats, label)
     if args.format == "csv":
         text = stats_to_csv(stats, label)
     elif args.format == "json":
-        text = json.dumps(stats_to_row(stats, label), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(row, indent=2, sort_keys=True) + "\n"
     else:
-        row = stats_to_row(stats, label)
         widths = {name: max(len(name), len(str(value))) for name, value in row.items()}
         header = "  ".join(f"{name:>{widths[name]}}" for name in row)
         values = "  ".join(f"{value!s:>{widths[name]}}" for name, value in row.items())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .extractor import Identifier, IdentifierKind
@@ -49,14 +49,13 @@ class FilterConfig:
 class Tag:
     """A stemmed word, its weight, and the identifiers that contain it.
 
-    ``contributors`` holds :class:`Identifier` references for clouds built
-    by the pipeline; a cloud deserialized from JSON carries qualified-name
-    strings instead and ``weight`` is authoritative there.
+    ``contributors`` are the qualified names of those identifiers, in corpus
+    order; ``weight`` is authoritative for a cloud deserialized from JSON.
     """
 
     stem: str
     weight: int
-    contributors: tuple = ()
+    contributors: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -69,31 +68,15 @@ class TagCloud:
 
 @dataclass(frozen=True)
 class CloudStats:
-    package_count: int
-    class_count: int
-    attribute_count: int
-    method_count: int
-    identifier_count: int
-    tag_count: int
+    """Corpus statistics; the field names are the stats report's columns."""
+
+    packages: int
+    classes: int
+    attributes: int
+    methods: int
+    identifiers: int
+    tags: int
     elapsed_ms: int
-
-
-def _stem_set(name: str, stem_of: dict, lexicon: StemLexicon, cfg: FilterConfig) -> set[str]:
-    """The deduplicated stem set of ``name``; ``stem_of`` memoizes word -> stem."""
-    stems = set()
-    for word in split_identifier(name):
-        stem = stem_of.get(word)
-        if stem is None:
-            stem = stem_of[word] = stem_word(word, lexicon)
-        stems.add(stem)
-    return stems - lexicon.stop_words if cfg.stop_words_enabled else stems
-
-
-def tags_of_identifier(
-    identifier: Identifier, lexicon: StemLexicon, cfg: FilterConfig
-) -> set[str]:
-    """The deduplicated stem set of one identifier's simple name."""
-    return _stem_set(identifier.simple_name, {}, lexicon, cfg)
 
 
 def _select(ids: list[Identifier], kind: CloudKind) -> list[Identifier]:
@@ -107,11 +90,19 @@ def build_tags(
     ids: list[Identifier], kind: CloudKind, lexicon: StemLexicon, cfg: FilterConfig
 ) -> list[Tag]:
     """One alphabetically ordered Tag per distinct stem in the selection."""
-    contributors: dict[str, list[Identifier]] = {}
+    contributors: dict[str, list[str]] = {}
     stem_of: dict[str, str] = {}  # one call's memo, so it always matches ``lexicon``
     for identifier in _select(ids, kind):
-        for stem in _stem_set(identifier.simple_name, stem_of, lexicon, cfg):
-            contributors.setdefault(stem, []).append(identifier)
+        stems = set()
+        for word in split_identifier(identifier.simple_name):
+            stem = stem_of.get(word)
+            if stem is None:
+                stem = stem_of[word] = stem_word(word, lexicon)
+            stems.add(stem)
+        if cfg.stop_words_enabled:
+            stems -= lexicon.stop_words
+        for stem in stems:
+            contributors.setdefault(stem, []).append(identifier.qualified_name)
     return [
         Tag(stem, len(members), tuple(members))
         for stem, members in sorted(contributors.items())
@@ -146,55 +137,31 @@ def compute_stats(ids: list[Identifier], tags: list[Tag], elapsed_ms: int) -> Cl
     for identifier in ids:
         by_kind[identifier.kind] += 1
     return CloudStats(
-        package_count=by_kind[IdentifierKind.PACKAGE],
-        class_count=by_kind[IdentifierKind.CLASS],
-        attribute_count=by_kind[IdentifierKind.ATTRIBUTE],
-        method_count=by_kind[IdentifierKind.METHOD],
-        identifier_count=len(ids),
-        tag_count=len(tags),
+        packages=by_kind[IdentifierKind.PACKAGE],
+        classes=by_kind[IdentifierKind.CLASS],
+        attributes=by_kind[IdentifierKind.ATTRIBUTE],
+        methods=by_kind[IdentifierKind.METHOD],
+        identifiers=len(ids),
+        tags=len(tags),
         elapsed_ms=elapsed_ms,
     )
 
 
 # --- serialization -------------------------------------------------------
 
-_STATS_COLUMNS = (
-    "corpus",
-    "packages",
-    "classes",
-    "attributes",
-    "methods",
-    "identifiers",
-    "tags",
-    "elapsed_ms",
-)
-
 
 def stats_to_row(stats: CloudStats, corpus_label: str) -> dict:
-    return {
-        "corpus": corpus_label,
-        "packages": stats.package_count,
-        "classes": stats.class_count,
-        "attributes": stats.attribute_count,
-        "methods": stats.method_count,
-        "identifiers": stats.identifier_count,
-        "tags": stats.tag_count,
-        "elapsed_ms": stats.elapsed_ms,
-    }
+    """The stats report's one row: column name -> value, in column order."""
+    return {"corpus": corpus_label, **asdict(stats)}
 
 
 def stats_to_csv(stats: CloudStats, corpus_label: str) -> str:
+    row = stats_to_row(stats, corpus_label)
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=_STATS_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buffer, fieldnames=row, lineterminator="\n")
     writer.writeheader()
-    writer.writerow(stats_to_row(stats, corpus_label))
+    writer.writerow(row)
     return buffer.getvalue()
-
-
-def _contributor_name(contributor) -> str:
-    if isinstance(contributor, Identifier):
-        return contributor.qualified_name
-    return str(contributor)
 
 
 def cloud_to_json_dict(cloud: TagCloud) -> dict:
@@ -212,7 +179,7 @@ def cloud_to_json_dict(cloud: TagCloud) -> dict:
             {
                 "stem": tag.stem,
                 "weight": tag.weight,
-                "contributors": sorted(_contributor_name(c) for c in tag.contributors),
+                "contributors": sorted(tag.contributors),
             }
             for tag in cloud.tags
         ],
@@ -222,9 +189,8 @@ def cloud_to_json_dict(cloud: TagCloud) -> dict:
 def cloud_from_json_dict(payload: dict) -> TagCloud:
     """Rebuild a cloud from its wire form.
 
-    The result renders identically to the original; contributor entries
-    are qualified-name strings, so it cannot be re-evaluated against a
-    corpus.
+    The result renders, and evaluates against the corpus it was built from,
+    exactly like the original.
     """
     filters = payload.get("filters", {})
     cfg = FilterConfig(
@@ -237,7 +203,7 @@ def cloud_from_json_dict(payload: dict) -> TagCloud:
         Tag(
             stem=str(entry["stem"]),
             weight=int(entry["weight"]),
-            contributors=tuple(entry.get("contributors", ())),
+            contributors=tuple(map(str, entry.get("contributors", ()))),
         )
         for entry in payload.get("tags", ())
     )

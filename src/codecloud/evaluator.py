@@ -17,7 +17,7 @@ import io
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .cloudmodel import TagCloud, _select
 from .extractor import Identifier
@@ -25,7 +25,7 @@ from .stemmer import StemLexicon
 
 
 class CorpusMismatchError(ValueError):
-    """The cloud's contributor references do not belong to the given corpus."""
+    """A contributor of the cloud is not an identifier of the given corpus."""
 
 
 # --- the naive reference pipeline ---------------------------------------
@@ -94,20 +94,6 @@ def oracle_words(
     return stems
 
 
-def oracle_frequency(
-    stem: str,
-    ids: list[Identifier],
-    lexicon: StemLexicon,
-    stop_words_enabled: bool = True,
-) -> int:
-    """How many identifiers contain ``stem``, per the reference pipeline."""
-    return sum(
-        1
-        for identifier in ids
-        if stem in oracle_words(identifier.simple_name, lexicon, stop_words_enabled)
-    )
-
-
 # --- metrics -------------------------------------------------------------
 
 
@@ -154,23 +140,17 @@ def evaluate(cloud: TagCloud, ids: list[Identifier], lexicon: StemLexicon) -> Ev
     """Score every cloud tag against the oracle frequency.
 
     The cloud must have been built from ``ids`` (checked through its
-    contributor references) and without a short-tag filter, so that every
-    tag is covered.  A kind-restricted cloud is scored against the oracle
+    contributors' qualified names) and without a short-tag filter, so that
+    every tag is covered.  A kind-restricted cloud is scored against the oracle
     over that kind's identifiers.  Stems the oracle finds but the cloud
     lacks get a row with cloud frequency 0; rows are in stem order.
     """
-    known = {(identifier.file, identifier.ordinal) for identifier in ids}
+    known = {identifier.qualified_name for identifier in ids}
     for tag in cloud.tags:
-        for contributor in tag.contributors:
-            if not isinstance(contributor, Identifier):
+        for name in tag.contributors:
+            if name not in known:
                 raise CorpusMismatchError(
-                    "cloud carries name-only contributor references "
-                    "(deserialized clouds cannot be evaluated)"
-                )
-            if (contributor.file, contributor.ordinal) not in known:
-                raise CorpusMismatchError(
-                    f"contributor {contributor.qualified_name!r} of tag "
-                    f"{tag.stem!r} is not part of the given corpus"
+                    f"contributor {name!r} of tag {tag.stem!r} is not part of the given corpus"
                 )
 
     stop_words_enabled = cloud.filters.stop_words_enabled
@@ -192,6 +172,7 @@ def evaluate(cloud: TagCloud, ids: list[Identifier], lexicon: StemLexicon) -> Ev
 
 # --- serialization -------------------------------------------------------
 
+#: The report's columns, one per :class:`EvalRow` field in field order.
 _CSV_COLUMNS = ("stem", "cloudFreq", "oracleFreq", "precision", "recall", "fMeasure")
 
 
@@ -200,16 +181,7 @@ def report_to_csv(report: EvalReport) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for row in report.rows:
-        writer.writerow(
-            [
-                row.stem,
-                row.cloud_frequency,
-                row.oracle_frequency,
-                f"{row.precision:.6g}",
-                f"{row.recall:.6g}",
-                f"{row.f_measure:.6g}",
-            ]
-        )
+        writer.writerow(f"{v:.6g}" if isinstance(v, float) else v for v in astuple(row))
     return buffer.getvalue()
 
 
@@ -217,15 +189,5 @@ def report_to_json_dict(report: EvalReport) -> dict:
     return {
         "corpus": report.corpus_label,
         "allPerfect": report.all_perfect,
-        "rows": [
-            {
-                "stem": row.stem,
-                "cloudFreq": row.cloud_frequency,
-                "oracleFreq": row.oracle_frequency,
-                "precision": row.precision,
-                "recall": row.recall,
-                "fMeasure": row.f_measure,
-            }
-            for row in report.rows
-        ],
+        "rows": [dict(zip(_CSV_COLUMNS, astuple(row))) for row in report.rows],
     }

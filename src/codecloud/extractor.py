@@ -32,7 +32,8 @@ log = logging.getLogger(__name__)
 _PARALLEL_MIN_FILES = 8
 
 #: Java identifier shape: letter/underscore/dollar start, then letters,
-#: digits, underscores, dollars.
+#: digits, underscores, dollars.  The parser emits only tokens that
+#: ``_is_name`` accepts, which have this shape; tests check names against it.
 IDENTIFIER_RE = re.compile(r"[^\W\d][\w$]*|[_$][\w$]*")
 
 _MODIFIERS = frozenset(
@@ -105,13 +106,14 @@ def identifier_to_dict(identifier: Identifier) -> dict:
 
 #: Comments and literals, shared by the token scanner and the body scanner so
 #: that the two agree on where each one ends.  A backslash escapes the next
-#: character in a literal, so an escaped quote never closes one.
+#: character in a literal, so an escaped quote never closes one; only a text
+#: block lets it escape a line break.
 _COMMENTS_AND_LITERALS = r"""
       (?P<line_comment>//[^\n]*)
     | (?P<block_comment>/\*.*?(?:(?P<block_comment_end>\*/)|\Z))
     | (?P<text_block>\"{3}(?:\\.|.)*?(?:(?P<text_block_end>\"{3})|\Z))
-    | (?P<string>"(?:\\.|[^"\\\n])*(?P<string_end>")?)
-    | (?P<char>'(?:\\.|[^'\\\n])*(?P<char_end>')?)
+    | (?P<string>"(?:\\[^\n]|[^"\\\n])*(?P<string_end>")?)
+    | (?P<char>'(?:\\[^\n]|[^'\\\n])*(?P<char_end>')?)
 """
 
 #: One token after optional whitespace.  The final ``\Z`` takes trailing
@@ -152,6 +154,8 @@ _is_name = re.compile(r"[^\W\d]|\$").match
 
 _OPEN_TO_CLOSE = {"(": ")", "{": "}", "[": "]"}
 _MEMBER_ENDS = frozenset("(=,;{}")
+#: What may follow an enum constant's name (JLS 8.9.1).
+_CONSTANT_ENDS = frozenset(",;}({")
 
 
 class _Extraction:
@@ -237,9 +241,6 @@ class _Extraction:
         self.parser_diagnostics.append(Diagnostic(message, self._line(self.offsets[at])))
 
     def _emit(self, kind: IdentifierKind, simple: str, scope: str, at: int) -> None:
-        if not IDENTIFIER_RE.fullmatch(simple):
-            self._diag(f"skipping malformed identifier {simple!r}", at)
-            return
         line = self._line(self.offsets[at])
         self.out.append(Identifier(kind, simple, scope + simple, self.path, line, len(self.out)))
 
@@ -425,7 +426,7 @@ class _Extraction:
             self.bodies[-1] = (scope, open_at, False)
         elif value == ",":
             self.pos += 1
-        elif _is_name(value):
+        elif _is_name(value) and self._peek(1) in _CONSTANT_ENDS:
             self._emit(IdentifierKind.ATTRIBUTE, value, scope, self.pos)
             self.pos += 1
             if self._peek() == "(":
@@ -437,7 +438,10 @@ class _Extraction:
                 self.pos += 1
         else:
             self._diag(f"unexpected {value!r} in enum constants", self.pos)
-            self.pos += 1
+            if _is_name(value):  # a member where a constant should be: the section ends
+                self.bodies[-1] = (scope, open_at, False)
+            else:
+                self.pos += 1
 
     def _parse_member(self, scope: str) -> None:
         """One member: nested type, initializer block, field(s), or method."""

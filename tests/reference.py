@@ -1,10 +1,16 @@
-"""Brute-force reference splitter used as an independent oracle in tests.
+"""Reference implementations used as independent oracles in tests.
 
-Unlike the production single-pass splitter, this one literally computes
-the set of boundary positions demanded by each splitting rule over the
-raw character array, then cuts the string at every boundary/separator.
+Unlike the production single-pass splitter, ``reference_split`` literally
+computes the set of boundary positions demanded by each splitting rule over
+the raw character array, then cuts the string at every boundary/separator.
 ASCII only, which is all the randomized tests generate.
+
+``oracle_frequency`` counts one stem per identifier with the evaluator's
+naive pipeline, and ``tags_of_identifier`` gives one identifier's stems as
+the cloud pipeline sees them.
 """
+
+from codecloud import CloudKind, build_tags, oracle_words
 
 
 def reference_split(name: str) -> list[str]:
@@ -47,3 +53,17 @@ def reference_split(name: str) -> list[str]:
     if current:
         words.append("".join(current))
     return words
+
+
+def oracle_frequency(stem, ids, lexicon, stop_words_enabled=True):
+    """How many identifiers contain ``stem``, per the naive reference pipeline."""
+    return sum(
+        1
+        for identifier in ids
+        if stem in oracle_words(identifier.simple_name, lexicon, stop_words_enabled)
+    )
+
+
+def tags_of_identifier(identifier, lexicon, cfg):
+    """The deduplicated stem set of one identifier's simple name."""
+    return {tag.stem for tag in build_tags([identifier], CloudKind.ALL, lexicon, cfg)}

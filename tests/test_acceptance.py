@@ -135,22 +135,20 @@ def test_nanoxml_reproduction(lexicon):
     tags = build_tags(ids, CloudKind.ALL, lexicon, FilterConfig())
     stats = compute_stats(ids, tags, 0)
     expected = {
-        "package_count": 3,
-        "class_count": 24,
-        "attribute_count": 63,
-        "method_count": 318,
-        "identifier_count": 408,
-        "tag_count": 135,
+        "packages": 3,
+        "classes": 24,
+        "attributes": 63,
+        "methods": 318,
+        "identifiers": 408,
+        "tags": 135,
     }
     for field_name, value in expected.items():
         actual = getattr(stats, field_name)
         assert abs(actual - value) <= max(1, round(0.05 * value)), (
             f"{field_name}: {actual} vs published {value} (+/-5%)"
         )
-    kind_sum = (
-        stats.package_count + stats.class_count + stats.attribute_count + stats.method_count
-    )
-    assert kind_sum == stats.identifier_count
+    kind_sum = stats.packages + stats.classes + stats.attributes + stats.methods
+    assert kind_sum == stats.identifiers
     table = {t.stem: t.weight for t in tags}
     for stem, published in (("exception", 13), ("element", 45), ("entity", 25)):
         assert abs(table.get(stem, 0) - published) <= 2, (stem, table.get(stem))
@@ -167,12 +165,12 @@ def test_argouml_reproduction(lexicon):
     tags = build_tags(ids, CloudKind.ALL, lexicon, FilterConfig())
     stats = compute_stats(ids, tags, 0)
     expected = {
-        "package_count": 103,
-        "class_count": 1745,
-        "attribute_count": 3649,
-        "method_count": 10319,
-        "identifier_count": 15816,
-        "tag_count": 1511,
+        "packages": 103,
+        "classes": 1745,
+        "attributes": 3649,
+        "methods": 10319,
+        "identifiers": 15816,
+        "tags": 1511,
     }
     for field_name, value in expected.items():
         actual = getattr(stats, field_name)

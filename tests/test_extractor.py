@@ -426,6 +426,9 @@ def test_json_dump_shape(drawing_shapes_ids):
             [("unterminated string literal", 1), ("field declaration ends at end of file", 1),
              ("unbalanced '{'", 1)],
         ),
+        # a member where an enum constant should be ends the constant section
+        ("enum E {\n int x;\n}", [("unexpected 'int' in enum constants", 2)]),
+        ("enum E {\n class F {}\n}", [("unexpected 'class' in enum constants", 2)]),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -433,6 +436,29 @@ def test_diagnostic_messages_and_lines(source, expected):
     _, diagnostics = extract_identifiers(unit)
     assert [(d.message, d.line) for d in diagnostics] == expected
     assert unit == _unit(source)  # extraction leaves its input as it was
+
+
+@pytest.mark.parametrize(
+    ("source", "expected"),
+    [
+        ("enum E {\n int x;\n}", [(IdentifierKind.ATTRIBUTE, "E.x")]),
+        ("enum E {\n class F {}\n}", [(IdentifierKind.CLASS, "E.F")]),
+        # a backslash before a line break escapes nothing outside a text block
+        (
+            'class A {\n String s = "abc\\\n int after;\n String u = "x";\n int last;\n}',
+            [(IdentifierKind.ATTRIBUTE, "A.s"), (IdentifierKind.ATTRIBUTE, "A.u"),
+             (IdentifierKind.ATTRIBUTE, "A.last")],
+        ),
+        (
+            'class A {\n void m() {\n  String s = "abc\\\n }\n int after;\n}',
+            [(IdentifierKind.METHOD, "A.m"), (IdentifierKind.ATTRIBUTE, "A.after")],
+        ),
+    ],
+)
+def test_declarations_after_a_malformed_line_are_kept(source, expected):
+    ids, diagnostics = extract_identifiers(_unit(source))
+    assert [(i.kind, i.qualified_name) for i in ids[1:]] == expected
+    assert len(diagnostics) == 1
 
 
 _SOUP = st.sampled_from(

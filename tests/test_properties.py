@@ -22,15 +22,13 @@ from codecloud import (
     evaluate,
     font_size_for,
     load_lexicon,
-    oracle_frequency,
     split_identifier,
     stem_word,
-    tags_of_identifier,
 )
 from codecloud.evaluator import EvalRow, oracle_words
 from codecloud.renderer import layout_cloud, text_width
 
-from reference import reference_split
+from reference import oracle_frequency, reference_split, tags_of_identifier
 
 LEXICON = load_lexicon()
 
@@ -159,10 +157,10 @@ def test_one_pass_counts_equal_per_tag_scans(entries, kind, stop_words_enabled):
     cfg = FilterConfig(stop_words_enabled=stop_words_enabled)
     tags = build_tags(ids, kind, LEXICON, cfg)
 
-    expected: dict[str, list[Identifier]] = {}
+    expected: dict[str, list[str]] = {}
     for identifier in selected:
         for stem in tags_of_identifier(identifier, LEXICON, cfg):
-            expected.setdefault(stem, []).append(identifier)
+            expected.setdefault(stem, []).append(identifier.qualified_name)
     assert tags == [
         Tag(stem, len(members), tuple(members)) for stem, members in sorted(expected.items())
     ]
