@@ -17,7 +17,7 @@ import io
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 from .cloudmodel import TagCloud, _select
 from .extractor import Identifier
@@ -30,8 +30,8 @@ class CorpusMismatchError(ValueError):
 
 # --- the naive reference pipeline ---------------------------------------
 
-_ACRONYM_BOUNDARY = re.compile(r"([A-Z]+)([A-Z][a-z])")
-_CASE_BOUNDARY = re.compile(r"([a-z0-9])([A-Z])")
+_ACRONYM_BOUNDARY = re.compile(r"(?<=[A-Z])(?=[A-Z][a-z])")
+_CASE_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 _NON_LETTER = re.compile(r"[^A-Za-z]+")
 
 
@@ -63,8 +63,8 @@ def _ascii_fold(name: str) -> str:
 
 
 def _naive_split(name: str) -> list[str]:
-    spaced = _ACRONYM_BOUNDARY.sub(r"\1 \2", _ascii_fold(name))
-    spaced = _CASE_BOUNDARY.sub(r"\1 \2", spaced)
+    spaced = _ACRONYM_BOUNDARY.sub(" ", _ascii_fold(name))
+    spaced = _CASE_BOUNDARY.sub(" ", spaced)
     return _NON_LETTER.sub(" ", spaced).lower().split()
 
 
@@ -84,11 +84,21 @@ def _naive_stem(word: str, lexicon: StemLexicon) -> str:
     return word
 
 
-def oracle_words(
-    name: str, lexicon: StemLexicon, stop_words_enabled: bool = True
-) -> set[str]:
+def oracle_words(name: str, lexicon: StemLexicon, stop_words_enabled: bool = True) -> set[str]:
     """Stem set of one identifier name, via the naive reference pipeline."""
-    stems = {_naive_stem(word, lexicon) for word in _naive_split(name)}
+    return _oracle_stems(name, lexicon, stop_words_enabled, {})
+
+
+def _oracle_stems(
+    name: str, lexicon: StemLexicon, stop_words_enabled: bool, stem_of: dict[str, str]
+) -> set[str]:
+    """:func:`oracle_words` through ``stem_of``, the caller's word -> stem memo."""
+    stems = set()
+    for word in _naive_split(name):
+        stem = stem_of.get(word)
+        if stem is None:
+            stem = stem_of[word] = _naive_stem(word, lexicon)
+        stems.add(stem)
     if stop_words_enabled:
         stems -= lexicon.stop_words
     return stems
@@ -97,8 +107,7 @@ def oracle_words(
 # --- metrics -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvalRow:
+class EvalRow(NamedTuple):
     stem: str
     cloud_frequency: int
     oracle_frequency: int
@@ -129,8 +138,7 @@ class EvalRow:
         return cls(stem, cloud_frequency, oracle_frequency, precision, recall, f_measure)
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     corpus_label: str
     rows: tuple[EvalRow, ...]
     all_perfect: bool
@@ -155,8 +163,9 @@ def evaluate(cloud: TagCloud, ids: list[Identifier], lexicon: StemLexicon) -> Ev
 
     stop_words_enabled = cloud.filters.stop_words_enabled
     counts: Counter[str] = Counter()
+    stem_of: dict[str, str] = {}
     for identifier in _select(ids, cloud.kind):
-        counts.update(oracle_words(identifier.simple_name, lexicon, stop_words_enabled))
+        counts.update(_oracle_stems(identifier.simple_name, lexicon, stop_words_enabled, stem_of))
     rows = [
         EvalRow.from_frequencies(tag.stem, tag.weight, counts[tag.stem]) for tag in cloud.tags
     ]
@@ -181,7 +190,7 @@ def report_to_csv(report: EvalReport) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for row in report.rows:
-        writer.writerow(f"{v:.6g}" if isinstance(v, float) else v for v in astuple(row))
+        writer.writerow(f"{v:.6g}" if isinstance(v, float) else v for v in row)
     return buffer.getvalue()
 
 
@@ -189,5 +198,5 @@ def report_to_json_dict(report: EvalReport) -> dict:
     return {
         "corpus": report.corpus_label,
         "allPerfect": report.all_perfect,
-        "rows": [dict(zip(_CSV_COLUMNS, astuple(row))) for row in report.rows],
+        "rows": [dict(zip(_CSV_COLUMNS, row)) for row in report.rows],
     }

@@ -26,10 +26,9 @@ from concurrent import futures
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
-
-_PARALLEL_MIN_FILES = 8
 
 #: Java identifier shape: letter/underscore/dollar start, then letters,
 #: digits, underscores, dollars.  The parser emits only tokens that
@@ -74,8 +73,7 @@ class SourceUnit:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class Identifier:
+class Identifier(NamedTuple):
     """One declared program element.
 
     ``ordinal`` is the 0-based position of the declaration within its file,
@@ -600,18 +598,16 @@ def scan_tree(root: str | Path) -> list[SourceUnit]:
     return units
 
 
-def extract_corpus(units: list[SourceUnit], parallel: bool | None = None) -> list[Identifier]:
+def extract_corpus(units: list[SourceUnit], parallel: bool = False) -> list[Identifier]:
     """Extract identifiers from all units and assemble the corpus list.
 
-    Units are processed independently (optionally across processes) and
-    merged in path order, so the result does not depend on scheduling.
+    Units are processed in-process (across processes only with the opt-in
+    ``parallel=True`` the benchmark harness times) and merged in path order.
     Each unit's parse diagnostics are appended to ``unit.diagnostics``.
     Package declarations are deduplicated corpus-wide by qualified name,
     keeping the first occurrence; surviving identifiers keep their original
     per-file ordinals.
     """
-    if parallel is None:
-        parallel = len(units) >= _PARALLEL_MIN_FILES
     results = None
     if parallel:
         try:

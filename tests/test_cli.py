@@ -15,6 +15,7 @@ from codecloud import (
     cli,
     cloud_from_json_dict,
     extract_corpus,
+    extractor,
     render_svg,
     scan_tree,
 )
@@ -246,13 +247,23 @@ def test_no_stopwords_flag(drawing_shapes_dir):
 
 def test_determinism_sequential_and_parallel(big_corpus, lexicon):
     root, _ = big_corpus
-    ids = extract_corpus(scan_tree(root), parallel=False)
+    ids = extract_corpus(scan_tree(root), parallel=True)
     cloud = build_cloud(ids, CloudKind.ALL, lexicon, FilterConfig(), root.name)
-    sequential = render_svg(cloud, RenderConfig())
+    parallel = render_svg(cloud, RenderConfig())
     for _ in range(2):
         result = run_cli("cloud", root, "--format", "svg")
         assert result.returncode == 0
-        assert result.stdout == sequential
+        assert result.stdout == parallel
+
+
+def test_cli_starts_no_worker_process(big_corpus, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the CLI started a process pool")
+
+    monkeypatch.setattr(extractor.futures, "ProcessPoolExecutor", no_pool)
+    root, _ = big_corpus
+    assert cli.main(["cloud", str(root), "--format", "svg"]) == 0
+    assert cli.main(["eval", str(root)]) == 0
 
 
 def test_eval_perfect_on_big_corpus(big_corpus):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -14,6 +16,7 @@ from codecloud import (
     cloud_from_json_dict,
     cloud_to_json_dict,
     evaluate,
+    evaluator,
 )
 from codecloud.evaluator import EvalRow, report_to_csv, report_to_json_dict
 
@@ -131,6 +134,31 @@ def test_deserialized_cloud_evaluates_like_the_original(
         cloud = build_cloud(ids, CloudKind.ALL, lexicon, FilterConfig(), "x")
         rebuilt = cloud_from_json_dict(json.loads(json.dumps(cloud_to_json_dict(cloud))))
         assert evaluate(rebuilt, ids, lexicon) == evaluate(cloud, ids, lexicon)
+
+
+def test_oracle_stems_each_distinct_word_once(lexicon, menagerie_ids, monkeypatch):
+    calls = Counter()
+    naive_stem = evaluator._naive_stem
+
+    def counting(word, lex):
+        calls[word] += 1
+        return naive_stem(word, lex)
+
+    monkeypatch.setattr(evaluator, "_naive_stem", counting)
+    cloud = build_cloud(menagerie_ids, CloudKind.ALL, lexicon, FilterConfig(), "m")
+    assert evaluate(cloud, menagerie_ids, lexicon).all_perfect
+    words = {w for i in menagerie_ids for w in evaluator._naive_split(i.simple_name)}
+    assert calls == Counter(words)
+
+
+def test_oracle_memo_does_not_outlive_its_call(lexicon, drawing_shapes_ids):
+    renamed = dataclasses.replace(lexicon, exceptions={**lexicon.exceptions, "shape": "outline"})
+    for lex in (lexicon, renamed, lexicon):
+        cloud = build_cloud(drawing_shapes_ids, CloudKind.ALL, lex, FilterConfig(), "x")
+        report = evaluate(cloud, drawing_shapes_ids, lex)
+        assert report.all_perfect
+        stems = {row.stem for row in report.rows}
+        assert ("outline" in stems) == (lex is renamed)
 
 
 def test_report_csv_columns(lexicon, drawing_shapes_ids):

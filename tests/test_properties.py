@@ -25,7 +25,7 @@ from codecloud import (
     split_identifier,
     stem_word,
 )
-from codecloud.evaluator import EvalRow, oracle_words
+from codecloud.evaluator import EvalRow, _naive_split, oracle_words
 from codecloud.renderer import layout_cloud, text_width
 
 from reference import oracle_frequency, reference_split, tags_of_identifier
@@ -62,6 +62,12 @@ def test_split_output_words_are_clean_and_stable(name):
 @given(identifier_names)
 def test_split_matches_bruteforce_reference(name):
     assert split_identifier(name) == reference_split(name)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(identifier_names)
+def test_oracle_split_matches_bruteforce_reference(name):
+    assert _naive_split(name) == reference_split(name)
 
 
 @settings(max_examples=1000, deadline=None)
