@@ -17,6 +17,7 @@ import io
 import re
 import unicodedata
 from collections import Counter
+from itertools import chain
 from typing import NamedTuple
 
 from .cloudmodel import TagCloud, _select
@@ -162,10 +163,13 @@ def evaluate(cloud: TagCloud, ids: list[Identifier], lexicon: StemLexicon) -> Ev
                 )
 
     stop_words_enabled = cloud.filters.stop_words_enabled
-    counts: Counter[str] = Counter()
     stem_of: dict[str, str] = {}
-    for identifier in _select(ids, cloud.kind):
-        counts.update(_oracle_stems(identifier.simple_name, lexicon, stop_words_enabled, stem_of))
+    counts = Counter(
+        chain.from_iterable(
+            _oracle_stems(identifier.simple_name, lexicon, stop_words_enabled, stem_of)
+            for identifier in _select(ids, cloud.kind)
+        )
+    )
     rows = [
         EvalRow.from_frequencies(tag.stem, tag.weight, counts[tag.stem]) for tag in cloud.tags
     ]

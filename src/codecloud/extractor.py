@@ -349,6 +349,8 @@ class _Extraction:
             elif value == "{":
                 self._diag("unexpected '{' at top level", self.pos)
                 self._skip_balanced()
+            elif value == "non" and self._peek(1) == "-" and self._peek(2) == "sealed":
+                self.pos += 3  # the `non-sealed` modifier
             else:
                 self._diag(f"unexpected {value!r} at top level", self.pos)
                 self.pos += 1
@@ -581,10 +583,12 @@ def scan_tree(root: str | Path) -> list[SourceUnit]:
         paths = [p for p in root_path.rglob("*.java") if p.is_file()]
     except OSError as exc:
         raise CorpusError(f"cannot scan {root_path}: {exc}") from exc
-    paths.sort(key=lambda p: p.relative_to(root_path).as_posix().encode("utf-8"))
+    rel_paths = sorted(
+        ((p.relative_to(root_path).as_posix(), p) for p in paths),
+        key=lambda pair: pair[0].encode("utf-8"),
+    )
     units = []
-    for path in paths:
-        rel = path.relative_to(root_path).as_posix()
+    for rel, path in rel_paths:
         try:
             raw = path.read_bytes()
         except OSError as exc:

@@ -11,18 +11,27 @@ An identifier is cut at three kinds of boundaries:
 
 Segments are lowercased; empty segments are dropped.  Letters outside
 a-z are reduced to their ASCII base letter where one exists (e.g. an
-accented vowel) and act as separators otherwise.
+accented vowel) and act as separators otherwise; a letter that folds to
+several ASCII letters acts as lowercase.  One compiled pattern, ``_WORD``,
+implements the three rules on the folded name.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 
+_WORD = re.compile(r"[A-Z]+(?![a-z])|[A-Z]?[a-z]+")
 
-def _fold_letter(ch: str) -> str:
-    """ASCII base letters for one character, lowercased; "" if none remain."""
-    folded = unicodedata.normalize("NFKD", ch.casefold())
-    return "".join(c for c in folded if "a" <= c <= "z")
+
+def _fold(ch: str) -> str:
+    """One character as the pattern sees it: its ASCII base letters, or a space."""
+    if not ch.isalpha():
+        return " "
+    base = "".join(c for c in unicodedata.normalize("NFKD", ch.casefold()) if "a" <= c <= "z")
+    if ch.isupper() and len(base) == 1:
+        return base.upper()
+    return base or " "
 
 
 def split_identifier(name: str) -> list[str]:
@@ -30,41 +39,6 @@ def split_identifier(name: str) -> list[str]:
 
     A name with no letters (e.g. "_1") yields an empty list.
     """
-    n = len(name)
-    upper = [False] * n
-    folded: list[str] = [""] * n
-    for i, ch in enumerate(name):
-        if "a" <= ch <= "z":
-            folded[i] = ch
-        elif "A" <= ch <= "Z":
-            folded[i] = ch.lower()
-            upper[i] = True
-        elif ch.isalpha():
-            folded[i] = _fold_letter(ch)
-            # a letter folding to several ASCII letters acts as lowercase
-            upper[i] = ch.isupper() and len(folded[i]) == 1
-        # digits, _, $, and anything unfoldable stay "" and separate
-
-    words: list[str] = []
-    current: list[str] = []
-    for i in range(n):
-        if not folded[i]:
-            if current:
-                words.append("".join(current))
-                current = []
-            continue
-        if current and upper[i]:
-            prev_lower = folded[i - 1] != "" and not upper[i - 1]
-            run_end = (
-                upper[i - 1]
-                and i + 1 < n
-                and folded[i + 1] != ""
-                and not upper[i + 1]
-            )
-            if prev_lower or run_end:
-                words.append("".join(current))
-                current = []
-        current.append(folded[i])
-    if current:
-        words.append("".join(current))
-    return words
+    if not name.isascii():
+        name = "".join(map(_fold, name))
+    return [word.lower() for word in _WORD.findall(name)]

@@ -1,19 +1,36 @@
 """Reference implementations used as independent oracles in tests.
 
-Unlike the production single-pass splitter, ``reference_split`` literally
+Unlike the production pattern-based splitter, ``reference_split`` literally
 computes the set of boundary positions demanded by each splitting rule over
-the raw character array, then cuts the string at every boundary/separator.
-ASCII only, which is all the randomized tests generate.
+the character array, then cuts the string at every boundary/separator.
+Non-ASCII characters are first folded one at a time, as the splitter's
+docstring says, so the enumeration only ever sees ASCII.
 
 ``oracle_frequency`` counts one stem per identifier with the evaluator's
 naive pipeline, and ``tags_of_identifier`` gives one identifier's stems as
 the cloud pipeline sees them.
 """
 
+import unicodedata
+
 from codecloud import CloudKind, build_tags, oracle_words
 
 
+def _fold_char(ch: str) -> str:
+    """A non-ASCII letter's ASCII base letters, uppercase when the letter is
+    uppercase and has one; a space for anything else non-ASCII."""
+    if ch.isascii():
+        return ch
+    if not ch.isalpha():
+        return " "
+    base = "".join(c for c in unicodedata.normalize("NFKD", ch.casefold()) if "a" <= c <= "z")
+    if not base:
+        return " "
+    return base.upper() if ch.isupper() and len(base) == 1 else base
+
+
 def reference_split(name: str) -> list[str]:
+    name = "".join(_fold_char(ch) for ch in name)
     n = len(name)
     upper = [c.isupper() and c.isascii() for c in name]
     lower = [c.islower() and c.isascii() for c in name]

@@ -461,6 +461,27 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
     assert len(diagnostics) == 1
 
 
+@pytest.mark.parametrize(
+    ("source", "expected"),
+    [
+        (
+            "public non-sealed class Foo extends Base { int x; }",
+            [(IdentifierKind.CLASS, "Foo"), (IdentifierKind.ATTRIBUTE, "Foo.x")],
+        ),
+        (
+            "non-sealed interface Shape extends Base { void draw(); }",
+            [(IdentifierKind.CLASS, "Shape"), (IdentifierKind.METHOD, "Shape.draw")],
+        ),
+    ],
+    ids=["class", "interface"],
+)
+def test_top_level_non_sealed_type_is_extracted(source, expected):
+    # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
+    ids, diagnostics = extract_identifiers(_unit(source))
+    assert [(i.kind, i.qualified_name) for i in ids] == expected
+    assert diagnostics == []
+
+
 _SOUP = st.sampled_from(
     "package import class interface enum record extends implements permits throws "
     "public static final abstract default sealed void int new return this A B x y "

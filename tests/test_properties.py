@@ -65,6 +65,12 @@ def test_split_matches_bruteforce_reference(name):
 
 
 @settings(max_examples=1000, deadline=None)
+@given(st.text())
+def test_split_matches_bruteforce_reference_on_any_text(name):
+    assert split_identifier(name) == reference_split(name)
+
+
+@settings(max_examples=1000, deadline=None)
 @given(identifier_names)
 def test_oracle_split_matches_bruteforce_reference(name):
     assert _naive_split(name) == reference_split(name)
