@@ -8,10 +8,8 @@ one over all identifiers.  Tags are kept in strict alphabetical order.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import asdict, dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .extractor import Identifier, IdentifierKind
 from .splitter import split_identifier
@@ -26,8 +24,14 @@ class CloudKind(Enum):
     ALL = "All"
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+class _FilterFields(NamedTuple):
+    short_tag_enabled: bool = False
+    min_tag_length: int = 4
+    show_frequency: bool = False
+    stop_words_enabled: bool = True
+
+
+class FilterConfig(_FilterFields):
     """Cloud filter settings.
 
     The short-tag filter removes tags below ``min_tag_length`` characters;
@@ -35,18 +39,20 @@ class FilterConfig:
     set.  Stop-word removal happens before weighting.
     """
 
-    short_tag_enabled: bool = False
-    min_tag_length: int = 4
-    show_frequency: bool = False
-    stop_words_enabled: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.min_tag_length < 1:
             raise ValueError("min_tag_length must be >= 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that ``_replace`` checks its result too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Tag:
+class Tag(NamedTuple):
     """A stemmed word, its weight, and the identifiers that contain it.
 
     ``contributors`` are the qualified names of those identifiers, in corpus
@@ -58,16 +64,14 @@ class Tag:
     contributors: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class TagCloud:
+class TagCloud(NamedTuple):
     kind: CloudKind
     tags: tuple[Tag, ...]
     filters: FilterConfig
     corpus_label: str = ""
 
 
-@dataclass(frozen=True)
-class CloudStats:
+class CloudStats(NamedTuple):
     """Corpus statistics; the field names are the stats report's columns."""
 
     packages: int
@@ -152,10 +156,13 @@ def compute_stats(ids: list[Identifier], tags: list[Tag], elapsed_ms: int) -> Cl
 
 def stats_to_row(stats: CloudStats, corpus_label: str) -> dict:
     """The stats report's one row: column name -> value, in column order."""
-    return {"corpus": corpus_label, **asdict(stats)}
+    return {"corpus": corpus_label, **stats._asdict()}
 
 
 def stats_to_csv(stats: CloudStats, corpus_label: str) -> str:
+    import csv
+    import io
+
     row = stats_to_row(stats, corpus_label)
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=row, lineterminator="\n")

@@ -12,8 +12,6 @@ with cloud frequency 0, whose recall of 0 fails the check.
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 import unicodedata
 from collections import Counter
@@ -39,8 +37,8 @@ _NON_LETTER = re.compile(r"[^A-Za-z]+")
 def _ascii_fold(name: str) -> str:
     """Reduce non-ASCII letters to ASCII base letters, preserving case.
 
-    Characters with no ASCII base become spaces (separators); a letter
-    folding to several ASCII letters stays lowercase.
+    Other non-ASCII characters and letters with no ASCII base become spaces
+    (separators); a letter folding to several ASCII letters stays lowercase.
     """
     if name.isascii():
         return name
@@ -54,7 +52,7 @@ def _ascii_fold(name: str) -> str:
             for c in unicodedata.normalize("NFKD", ch.casefold())
             if "a" <= c <= "z"
         )
-        if not base:
+        if not base or not ch.isalpha():
             out.append(" ")
         elif ch.isupper() and len(base) == 1:
             out.append(base.upper())
@@ -190,6 +188,9 @@ _CSV_COLUMNS = ("stem", "cloudFreq", "oracleFreq", "precision", "recall", "fMeas
 
 
 def report_to_csv(report: EvalReport) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)

@@ -19,16 +19,10 @@ so no nesting depth makes extraction raise.
 
 from __future__ import annotations
 
-import logging
-import os
 import re
-from concurrent import futures
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
-
-log = logging.getLogger(__name__)
 
 #: Java identifier shape: letter/underscore/dollar start, then letters,
 #: digits, underscores, dollars.  The parser emits only tokens that
@@ -58,19 +52,27 @@ class IdentifierKind(Enum):
     METHOD = "Method"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     message: str
     line: int
 
 
-@dataclass
-class SourceUnit:
-    """One ``.java`` file: path, decoded text, and non-fatal parse warnings."""
-
+class _SourceUnitFields(NamedTuple):
     path: str
     text: str
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic]
+
+
+class SourceUnit(_SourceUnitFields):
+    """One ``.java`` file: path, decoded text, and non-fatal parse warnings.
+
+    Each unit gets its own ``diagnostics`` list, which corpus assembly extends.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, path: str, text: str, diagnostics: list[Diagnostic] | None = None):
+        return super().__new__(cls, path, text, [] if diagnostics is None else diagnostics)
 
 
 class Identifier(NamedTuple):
@@ -536,8 +538,10 @@ class _Extraction:
         """Remaining ``, next [= init]`` declarators up to ';'.
 
         ``first_at`` is the position of the first declarator, where an
-        unfinished declaration is reported.
+        unfinished declaration is reported.  A comma inside type arguments
+        (``new HashMap<K, V>()``) separates no declarators.
         """
+        angle = 0  # depth of type arguments
         while self.pos < len(self.tokens) or self._fill():
             value = self.tokens[self.pos]
             if expect_name and _is_name(value):
@@ -549,13 +553,32 @@ class _Extraction:
             elif value == ";":
                 self.pos += 1
                 return
-            elif value == ",":
+            elif value == "<" and (angle or self._opens_type_arguments()):
+                angle += 1
+            elif value == ">" and angle:
+                angle -= 1
+            elif value == "," and not angle:
                 expect_name = True
             elif value == "}":
                 self._diag("field declaration ends abruptly", self.pos)
                 return
             self.pos += 1
         self._diag("field declaration ends at end of file", first_at)
+
+    def _opens_type_arguments(self) -> bool:
+        """Whether the '<' under the cursor, in an initializer, opens type arguments.
+
+        It does after '.' or '::' (``Collections.<K, V>emptyMap()``), after
+        ``new``, and after the possibly qualified type name of a ``new``
+        (``new java.util.HashMap<K, V>()``); anywhere else it is a comparison.
+        """
+        tokens = self.tokens
+        at = self.pos - 1
+        if tokens[at] in (".", ":", "new"):
+            return True
+        while at >= 2 and tokens[at - 1] == "." and _is_name(tokens[at - 2]):
+            at -= 2
+        return at >= 1 and tokens[at - 1] == "new" and _is_name(tokens[at]) is not None
 
 
 def extract_identifiers(unit: SourceUnit) -> tuple[list[Identifier], list[Diagnostic]]:
@@ -614,19 +637,25 @@ def extract_corpus(units: list[SourceUnit], parallel: bool = False) -> list[Iden
     """
     results = None
     if parallel:
+        import logging
+        import os
+        from concurrent import futures
+
         try:
             with futures.ProcessPoolExecutor() as pool:
                 chunk = max(1, len(units) // (4 * (os.cpu_count() or 1)))
                 results = list(pool.map(extract_identifiers, units, chunksize=chunk))
         except OSError as exc:  # e.g. sandboxes without working semaphores
-            log.warning("parallel extraction unavailable (%s); running sequentially", exc)
+            logging.getLogger(__name__).warning(
+                "parallel extraction unavailable (%s); running sequentially", exc
+            )
     if results is None:
         results = [extract_identifiers(unit) for unit in units]
 
     corpus: list[Identifier] = []
     seen_packages: set[str] = set()
     for unit, (ids, diagnostics) in zip(units, results):
-        unit.diagnostics += diagnostics
+        unit.diagnostics.extend(diagnostics)
         for identifier in ids:
             if identifier.kind is IdentifierKind.PACKAGE:
                 if identifier.qualified_name in seen_packages:

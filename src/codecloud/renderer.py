@@ -10,14 +10,13 @@ always renders to the same bytes on any machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from html import escape
+from typing import NamedTuple
 
 from .cloudmodel import TagCloud
 
 
-@dataclass(frozen=True)
-class RenderConfig:
+class _RenderFields(NamedTuple):
     page_width_px: int = 1000
     min_font_pt: float = 10.0
     max_font_pt: float = 40.0
@@ -27,11 +26,21 @@ class RenderConfig:
     freq_color: str = "red"
     background: str = "white"
 
-    def __post_init__(self) -> None:
+
+class RenderConfig(_RenderFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.page_width_px <= 0:
             raise ValueError("page_width_px must be positive")
         if self.min_font_pt > self.max_font_pt:
             raise ValueError("min_font_pt must not exceed max_font_pt")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that ``_replace`` checks its result too
+        return cls(*iterable)
 
 
 # Advances in 1/1000 of the font size (sans-serif profile; ~0.55 average).
@@ -75,8 +84,7 @@ def font_size_for(weight: int, min_weight: int, max_weight: int, cfg: RenderConf
     return round(cfg.min_font_pt + fraction * span, 2)
 
 
-@dataclass(frozen=True)
-class PlacedTag:
+class PlacedTag(NamedTuple):
     """One laid-out tag: x offset, row index, font size, and label texts."""
 
     label: str

@@ -10,8 +10,8 @@ Stop words are a separate set consulted after stemming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 #: (suffix, replacement, min_stem_len, needs_word_list), tried in order.
 #: A rule applies when the word ends with the suffix and at least
@@ -31,8 +31,7 @@ DETACHMENT_RULES: tuple[tuple[str, str, int, bool], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class StemLexicon:
+class StemLexicon(NamedTuple):
     """Immutable stemming data: safe to share across threads."""
 
     exceptions: dict[str, str]
@@ -46,7 +45,7 @@ class LexiconError(ValueError):
 
 
 def _is_lower_alpha(word: str) -> bool:
-    return word != "" and all("a" <= c <= "z" for c in word)
+    return word.isascii() and word.isalpha() and word.islower()
 
 
 def _iter_data_lines(text: str, source: str):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import subprocess
 import sys
@@ -15,7 +14,6 @@ from codecloud import (
     cli,
     cloud_from_json_dict,
     extract_corpus,
-    extractor,
     render_svg,
     scan_tree,
 )
@@ -181,7 +179,7 @@ def test_eval_corrupted_weights_exit_four(drawing_shapes_dir, monkeypatch, capsy
     def raised_weights(*args):
         cloud = build_cloud(*args)
         tags = tuple(Tag(tag.stem, tag.weight + 5, tag.contributors) for tag in cloud.tags)
-        return dataclasses.replace(cloud, tags=tags)
+        return cloud._replace(tags=tags)
 
     monkeypatch.setattr(cli, "build_cloud", raised_weights)
     assert cli.main(["eval", str(drawing_shapes_dir)]) == 4
@@ -260,7 +258,7 @@ def test_cli_starts_no_worker_process(big_corpus, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("the CLI started a process pool")
 
-    monkeypatch.setattr(extractor.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     root, _ = big_corpus
     assert cli.main(["cloud", str(root), "--format", "svg"]) == 0
     assert cli.main(["eval", str(root)]) == 0
@@ -270,6 +268,37 @@ def test_eval_perfect_on_big_corpus(big_corpus):
     root, _ = big_corpus
     result = run_cli("eval", root, "--format", "csv")
     assert result.returncode == 0
+
+
+def test_eval_perfect_on_letter_numbers(tmp_path):
+    # Java identifiers may hold letter numbers such as U+217B; both the cloud
+    # and the oracle read them as separators
+    source = "class Cache\u217b { int count\u216b; }\n"
+    (tmp_path / "Cache.java").write_text(source, encoding="utf-8")
+    result = run_cli("eval", tmp_path)
+    assert result.returncode == 0
+    assert "all tags perfect: yes" in result.stdout
+
+
+#: Needed only by the opt-in extraction pool, by CSV reports, or by nothing
+#: that runs, so start-up must not import them.
+_NOT_AT_START_UP = {"dataclasses", "inspect", "logging", "concurrent.futures", "csv"}
+
+
+def _modules_after(code):
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_start_up_imports_only_what_runs():
+    bare = _modules_after("pass")
+    loaded = _modules_after("import codecloud.cli; codecloud.load_lexicon()")
+    assert (loaded - bare) & _NOT_AT_START_UP == set()
 
 
 def test_cloud_on_deeply_nested_source(tmp_path):

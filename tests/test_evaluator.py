@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from collections import Counter
 
@@ -152,7 +151,7 @@ def test_oracle_stems_each_distinct_word_once(lexicon, menagerie_ids, monkeypatc
 
 
 def test_oracle_memo_does_not_outlive_its_call(lexicon, drawing_shapes_ids):
-    renamed = dataclasses.replace(lexicon, exceptions={**lexicon.exceptions, "shape": "outline"})
+    renamed = lexicon._replace(exceptions={**lexicon.exceptions, "shape": "outline"})
     for lex in (lexicon, renamed, lexicon):
         cloud = build_cloud(drawing_shapes_ids, CloudKind.ALL, lex, FilterConfig(), "x")
         report = evaluate(cloud, drawing_shapes_ids, lex)

@@ -472,8 +472,35 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             "non-sealed interface Shape extends Base { void draw(); }",
             [(IdentifierKind.CLASS, "Shape"), (IdentifierKind.METHOD, "Shape.draw")],
         ),
+        # a comma inside type arguments of an initializer starts no declarator
+        (
+            "class A { private Map<String, Integer> counts = new HashMap<String, Integer>(); }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.counts")],
+        ),
+        (
+            "class A { List<String> names = Collections.<String, Object>emptyList(), others; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.names"),
+             (IdentifierKind.ATTRIBUTE, "A.others")],
+        ),
+        (
+            "class A { Supplier<Object> s = Foo::<String, Integer>bar, t; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.s"),
+             (IdentifierKind.ATTRIBUTE, "A.t")],
+        ),
+        # ... while a comparison's '<' opens none
+        (
+            "class A { int x = a < b ? 1 : 2, y; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.x"),
+             (IdentifierKind.ATTRIBUTE, "A.y")],
+        ),
+        (
+            "class A { boolean z = p < q, w = r > s; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.z"),
+             (IdentifierKind.ATTRIBUTE, "A.w")],
+        ),
     ],
-    ids=["class", "interface"],
+    ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
+         "conditional", "comparisons"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too

@@ -7,7 +7,7 @@ at least 1000 generated cases.
 
 import string
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from codecloud import (
     CloudKind,
@@ -73,6 +73,13 @@ def test_split_matches_bruteforce_reference_on_any_text(name):
 @settings(max_examples=1000, deadline=None)
 @given(identifier_names)
 def test_oracle_split_matches_bruteforce_reference(name):
+    assert _naive_split(name) == reference_split(name)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text())
+@example("count\u216bTotal\u24d0")  # a letter number and a symbol, neither a letter
+def test_oracle_split_matches_bruteforce_reference_on_any_text(name):
     assert _naive_split(name) == reference_split(name)
 
 

@@ -68,6 +68,14 @@ def test_render_config_validated():
         RenderConfig(min_font_pt=20, max_font_pt=10)
 
 
+def test_configs_validate_replaced_values():
+    with pytest.raises(ValueError):
+        RenderConfig()._replace(page_width_px=0)
+    with pytest.raises(ValueError):
+        FilterConfig()._replace(min_tag_length=0)
+    assert RenderConfig()._replace(page_width_px=640).page_width_px == 640
+
+
 def test_svg_text_order_is_alphabetical():
     svg = render_svg(_cloud([Tag("draw", 10), Tag("shape", 10)]), RenderConfig())
     texts = _texts(svg)
