@@ -257,11 +257,7 @@ def cmd_eval(args) -> int:
     if not ids:
         print(f"no identifiers found under {args.root}", file=sys.stderr)
         return EXIT_EMPTY
-    cfg = FilterConfig(
-        short_tag_enabled=False,
-        show_frequency=False,
-        stop_words_enabled=not args.no_stopwords,
-    )
+    cfg = FilterConfig(stop_words_enabled=not args.no_stopwords)
     cloud = build_cloud(ids, CloudKind.ALL, lexicon, cfg, _corpus_label(args.root))
     report = evaluate(cloud, ids, lexicon)
     if args.format == "csv":

@@ -3,8 +3,8 @@
 The oracle is a second, deliberately naive implementation of the
 split-and-stem pipeline: regex substitutions insert word boundaries and a
 straight loop interprets the same lexicon data.  It shares nothing with
-the production code path except the lexicon, so agreement between the two
-is evidence rather than tautology.  Each cloud tag gets precision, recall,
+the production code path except the lexicon data, so agreement between the
+two is evidence rather than tautology.  Each cloud tag gets precision, recall,
 and F-measure computed from its cloud weight and the oracle's count of
 identifiers containing the tag; an oracle stem the cloud lacks gets a row
 with cloud frequency 0, whose recall of 0 fails the check.
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .cloudmodel import TagCloud, _select
 from .extractor import Identifier
-from .stemmer import StemLexicon
+from .stemmer import DETACHMENT_RULES, StemLexicon
 
 
 class CorpusMismatchError(ValueError):
@@ -70,7 +70,7 @@ def _naive_split(name: str) -> list[str]:
 def _naive_stem(word: str, lexicon: StemLexicon) -> str:
     if word in lexicon.exceptions:
         return lexicon.exceptions[word]
-    for suffix, replacement, min_stem, needs_list in lexicon.detachment_rules:
+    for suffix, replacement, min_stem, needs_list in DETACHMENT_RULES:
         if not word.endswith(suffix):
             continue
         stem = word[: len(word) - len(suffix)]
@@ -140,7 +140,10 @@ class EvalRow(NamedTuple):
 class EvalReport(NamedTuple):
     corpus_label: str
     rows: tuple[EvalRow, ...]
-    all_perfect: bool
+
+    @property
+    def all_perfect(self) -> bool:
+        return all(row.perfect for row in self.rows)
 
 
 def evaluate(cloud: TagCloud, ids: list[Identifier], lexicon: StemLexicon) -> EvalReport:
@@ -174,11 +177,7 @@ def evaluate(cloud: TagCloud, ids: list[Identifier], lexicon: StemLexicon) -> Ev
     in_cloud = {tag.stem for tag in cloud.tags}
     rows += [EvalRow.from_frequencies(s, 0, n) for s, n in counts.items() if s not in in_cloud]
     rows.sort(key=lambda row: row.stem)
-    return EvalReport(
-        corpus_label=cloud.corpus_label,
-        rows=tuple(rows),
-        all_perfect=all(row.perfect for row in rows),
-    )
+    return EvalReport(cloud.corpus_label, tuple(rows))
 
 
 # --- serialization -------------------------------------------------------

@@ -76,19 +76,13 @@ class SourceUnit(_SourceUnitFields):
 
 
 class Identifier(NamedTuple):
-    """One declared program element.
-
-    ``ordinal`` is the 0-based position of the declaration within its file,
-    so ``(file, ordinal)`` is unique across a corpus and corpus assembly is
-    independent of extraction order.
-    """
+    """One declared program element."""
 
     kind: IdentifierKind
     simple_name: str
     qualified_name: str
     file: str
     line: int
-    ordinal: int
 
 
 def identifier_to_dict(identifier: Identifier) -> dict:
@@ -242,7 +236,7 @@ class _Extraction:
 
     def _emit(self, kind: IdentifierKind, simple: str, scope: str, at: int) -> None:
         line = self._line(self.offsets[at])
-        self.out.append(Identifier(kind, simple, scope + simple, self.path, line, len(self.out)))
+        self.out.append(Identifier(kind, simple, scope + simple, self.path, line))
 
     def _skip_balanced(self) -> None:
         """Skip past a balanced bracket group; cursor sits on the opener."""
@@ -569,16 +563,20 @@ class _Extraction:
         """Whether the '<' under the cursor, in an initializer, opens type arguments.
 
         It does after '.' or '::' (``Collections.<K, V>emptyMap()``), after
-        ``new``, and after the possibly qualified type name of a ``new``
-        (``new java.util.HashMap<K, V>()``); anywhere else it is a comparison.
+        ``new``, and after the type name of a ``new`` or an ``instanceof``,
+        which may be qualified and annotated (``new java.util.@A HashMap<K, V>()``,
+        ``o instanceof Map<?, ?> m``); anywhere else it is a comparison.  A
+        comparison's left operand never directly follows such a type name.
         """
         tokens = self.tokens
         at = self.pos - 1
         if tokens[at] in (".", ":", "new"):
             return True
-        while at >= 2 and tokens[at - 1] == "." and _is_name(tokens[at - 2]):
-            at -= 2
-        return at >= 1 and tokens[at - 1] == "new" and _is_name(tokens[at]) is not None
+        while at >= 1 and (_is_name(tokens[at]) or tokens[at] in (".", "@")):
+            at -= 1
+            if tokens[at] in ("new", "instanceof"):
+                return True
+        return False
 
 
 def extract_identifiers(unit: SourceUnit) -> tuple[list[Identifier], list[Diagnostic]]:
@@ -632,8 +630,7 @@ def extract_corpus(units: list[SourceUnit], parallel: bool = False) -> list[Iden
     ``parallel=True`` the benchmark harness times) and merged in path order.
     Each unit's parse diagnostics are appended to ``unit.diagnostics``.
     Package declarations are deduplicated corpus-wide by qualified name,
-    keeping the first occurrence; surviving identifiers keep their original
-    per-file ordinals.
+    keeping the first occurrence.
     """
     results = None
     if parallel:

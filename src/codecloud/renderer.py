@@ -20,11 +20,7 @@ class _RenderFields(NamedTuple):
     page_width_px: int = 1000
     min_font_pt: float = 10.0
     max_font_pt: float = 40.0
-    line_gap_px: float = 8.0
     title_case: bool = False
-    label_color: str = "black"
-    freq_color: str = "red"
-    background: str = "white"
 
 
 class RenderConfig(_RenderFields):
@@ -59,6 +55,10 @@ _ADVANCES = {
 }
 _DEFAULT_ADVANCE = 556
 _PAGE_PAD = 10.0
+_LINE_GAP = 8.0
+_LABEL_COLOR = "black"
+_FREQ_COLOR = "red"
+_BACKGROUND = "white"
 _ASCENT = 0.8  # baseline sits this fraction of the font size below the row top
 
 
@@ -114,10 +114,12 @@ def layout_cloud(cloud: TagCloud, cfg: RenderConfig) -> tuple[list[PlacedTag], l
         size = font_size_for(tag.weight, min_weight, max_weight, cfg)
         label = tag.stem[:1].upper() + tag.stem[1:] if cfg.title_case else tag.stem
         freq_label = f"[{tag.weight}]" if cloud.filters.show_frequency else None
-        width = text_width(label, size)
+        label_width = text_width(label, size)
+        space = text_width(" ", size)
+        width = label_width
         if freq_label is not None:
-            width += text_width(" ", size) + text_width(freq_label, size)
-        gap = 2 * text_width(" ", size)
+            width += space + text_width(freq_label, size)
+        gap = 2 * space
         start_new_row = row < 0 or (x > 0.0 and x + gap + width > available)
         if start_new_row:
             row += 1
@@ -126,39 +128,39 @@ def layout_cloud(cloud: TagCloud, cfg: RenderConfig) -> tuple[list[PlacedTag], l
         else:
             x += gap
             row_heights[row] = max(row_heights[row], size)
-        placed.append(PlacedTag(label, freq_label, x, row, size, text_width(label, size)))
+        placed.append(PlacedTag(label, freq_label, x, row, size, label_width))
         x += width
     return placed, row_heights
 
 
-def _row_baselines(row_heights: list[float], cfg: RenderConfig) -> list[float]:
+def _row_baselines(row_heights: list[float]) -> list[float]:
     baselines = []
     y = _PAGE_PAD
     for height in row_heights:
         baselines.append(y + _ASCENT * height)
-        y += height + cfg.line_gap_px
+        y += height + _LINE_GAP
     return baselines
 
 
-def _total_height(row_heights: list[float], cfg: RenderConfig) -> float:
+def _total_height(row_heights: list[float]) -> float:
     height = 2 * _PAGE_PAD + sum(row_heights)
     if row_heights:
-        height += cfg.line_gap_px * (len(row_heights) - 1)
+        height += _LINE_GAP * (len(row_heights) - 1)
     return height
 
 
 def render_svg(cloud: TagCloud, cfg: RenderConfig) -> str:
     """Render the cloud as a standalone SVG 1.1 document."""
     placed, row_heights = layout_cloud(cloud, cfg)
-    baselines = _row_baselines(row_heights, cfg)
-    height = _total_height(row_heights, cfg)
+    baselines = _row_baselines(row_heights)
+    height = _total_height(row_heights)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{cfg.page_width_px}" height="{height:.2f}" '
         f'viewBox="0 0 {cfg.page_width_px} {height:.2f}">',
         f'<title>{escape(cloud.corpus_label or "tag cloud", quote=False)}</title>',
-        f'<rect width="100%" height="100%" fill="{escape(cfg.background)}"/>',
+        f'<rect width="100%" height="100%" fill="{_BACKGROUND}"/>',
     ]
     for item in placed:
         x = _PAGE_PAD + item.x
@@ -168,13 +170,13 @@ def render_svg(cloud: TagCloud, cfg: RenderConfig) -> str:
         )
         lines.append(
             f'<text x="{x:.2f}" y="{y:.2f}" {style} '
-            f'fill="{escape(cfg.label_color)}">{escape(item.label, quote=False)}</text>'
+            f'fill="{_LABEL_COLOR}">{escape(item.label, quote=False)}</text>'
         )
         if item.freq_label is not None:
             freq_x = x + item.label_width + text_width(" ", item.font_size)
             lines.append(
                 f'<text x="{freq_x:.2f}" y="{y:.2f}" {style} '
-                f'fill="{escape(cfg.freq_color)}">{escape(item.freq_label, quote=False)}</text>'
+                f'fill="{_FREQ_COLOR}">{escape(item.freq_label, quote=False)}</text>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -195,24 +197,24 @@ def render_html(cloud: TagCloud, cfg: RenderConfig) -> str:
         '<meta charset="utf-8">',
         f"<title>{title}</title>",
         "</head>",
-        f'<body style="background:{escape(cfg.background)};'
+        f'<body style="background:{_BACKGROUND};'
         'font-family:Helvetica,Arial,sans-serif;margin:0;">',
         f'<div style="width:{cfg.page_width_px}px;padding:{_PAGE_PAD:.0f}px;'
         'box-sizing:border-box;">',
     ]
     for row_items in rows:
         lines.append(
-            f'<div style="margin-bottom:{cfg.line_gap_px:.2f}px;white-space:nowrap;">'
+            f'<div style="margin-bottom:{_LINE_GAP:.2f}px;white-space:nowrap;">'
         )
         for item in row_items:
             span = (
                 f'<span style="font-size:{item.font_size:.2f}pt;'
-                f'color:{escape(cfg.label_color)};">{escape(item.label, quote=False)}</span>'
+                f'color:{_LABEL_COLOR};">{escape(item.label, quote=False)}</span>'
             )
             if item.freq_label is not None:
                 span += (
                     f' <span style="font-size:{item.font_size:.2f}pt;'
-                    f'color:{escape(cfg.freq_color)};">{escape(item.freq_label, quote=False)}</span>'
+                    f'color:{_FREQ_COLOR};">{escape(item.freq_label, quote=False)}</span>'
                 )
             lines.append(span)
         lines.append("</div>")

@@ -35,7 +35,6 @@ class StemLexicon(NamedTuple):
     """Immutable stemming data: safe to share across threads."""
 
     exceptions: dict[str, str]
-    detachment_rules: tuple[tuple[str, str, int, bool], ...]
     stop_words: frozenset[str]
     word_list: frozenset[str]
 
@@ -100,12 +99,7 @@ def load_lexicon(
             Path(stopwords_path).read_text(encoding="utf-8"), str(stopwords_path)
         )
     word_list = _read_word_set(_bundled("wordlist.txt"), "wordlist.txt")
-    return StemLexicon(
-        exceptions=exceptions,
-        detachment_rules=DETACHMENT_RULES,
-        stop_words=stop_words,
-        word_list=word_list,
-    )
+    return StemLexicon(exceptions=exceptions, stop_words=stop_words, word_list=word_list)
 
 
 def stem_word(word: str, lexicon: StemLexicon) -> str:
@@ -117,7 +111,7 @@ def stem_word(word: str, lexicon: StemLexicon) -> str:
     base = lexicon.exceptions.get(word)
     if base is not None:
         return base
-    for suffix, replacement, min_stem, needs_list in lexicon.detachment_rules:
+    for suffix, replacement, min_stem, needs_list in DETACHMENT_RULES:
         if len(word) - len(suffix) >= min_stem and word.endswith(suffix):
             candidate = word[: len(word) - len(suffix)] + replacement
             if needs_list and candidate not in lexicon.word_list:

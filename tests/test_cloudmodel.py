@@ -17,8 +17,8 @@ from codecloud import (
 from reference import tags_of_identifier
 
 
-def _identifier(name, kind=IdentifierKind.METHOD, ordinal=0, file="X.java"):
-    return Identifier(kind, name, f"x.{name}", file, 1, ordinal)
+def _identifier(name, kind=IdentifierKind.METHOD, file="X.java"):
+    return Identifier(kind, name, f"x.{name}", file, 1)
 
 
 def test_drawing_shapes_identifier_tags(lexicon):

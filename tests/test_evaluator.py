@@ -17,7 +17,7 @@ from codecloud import (
     evaluate,
     evaluator,
 )
-from codecloud.evaluator import EvalRow, report_to_csv, report_to_json_dict
+from codecloud.evaluator import EvalReport, EvalRow, report_to_csv, report_to_json_dict
 
 from reference import oracle_frequency
 
@@ -120,6 +120,10 @@ def test_empty_cloud_empty_corpus_vacuously_perfect(lexicon):
     assert report.all_perfect
 
 
+def test_report_verdict_follows_its_rows():
+    assert EvalReport("x", (EvalRow.from_frequencies("a", 1, 2),)).all_perfect is False
+
+
 def test_corpus_mismatch_raises(lexicon, drawing_shapes_ids, menagerie_ids):
     cloud = build_cloud(drawing_shapes_ids, CloudKind.ALL, lexicon, FilterConfig(), "x")
     with pytest.raises(CorpusMismatchError):
@@ -198,14 +202,14 @@ def test_oracle_agrees_with_pipeline_per_identifier(lexicon, menagerie_ids):
 
 def _mini_corpus():
     return [
-        Identifier(IdentifierKind.CLASS, "HTTPServer", "a.HTTPServer", "A.java", 1, 0),
-        Identifier(IdentifierKind.METHOD, "parseXML", "a.parseXML", "A.java", 2, 1),
-        Identifier(IdentifierKind.ATTRIBUTE, "maxRetries", "a.maxRetries", "A.java", 3, 2),
+        Identifier(IdentifierKind.CLASS, "HTTPServer", "a.HTTPServer", "A.java", 1),
+        Identifier(IdentifierKind.METHOD, "parseXML", "a.parseXML", "A.java", 2),
+        Identifier(IdentifierKind.ATTRIBUTE, "maxRetries", "a.maxRetries", "A.java", 3),
     ]
 
 
 def test_oracle_frequency_counts_identifiers_not_words(lexicon):
     ids = _mini_corpus() + [
-        Identifier(IdentifierKind.METHOD, "serverServer", "a.serverServer", "A.java", 4, 3)
+        Identifier(IdentifierKind.METHOD, "serverServer", "a.serverServer", "A.java", 4)
     ]
     assert oracle_frequency("server", ids, lexicon) == 2

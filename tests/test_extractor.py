@@ -210,14 +210,6 @@ def test_qualified_names_nest(menagerie_ids):
         assert identifier.qualified_name.endswith(identifier.simple_name)
 
 
-def test_ordinals_unique_per_file(menagerie_ids):
-    seen = set()
-    for identifier in menagerie_ids:
-        key = (identifier.file, identifier.ordinal)
-        assert key not in seen
-        seen.add(key)
-
-
 def test_simple_names_match_lexical_rule(menagerie_ids, drawing_shapes_ids):
     for identifier in menagerie_ids + drawing_shapes_ids:
         assert IDENTIFIER_RE.fullmatch(identifier.simple_name)
@@ -498,9 +490,20 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.z"),
              (IdentifierKind.ATTRIBUTE, "A.w")],
         ),
+        # type arguments after an annotated `new` type and after `instanceof`
+        (
+            "class A { Object q = new @Ann HashMap<String, Integer>(), r; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.q"),
+             (IdentifierKind.ATTRIBUTE, "A.r")],
+        ),
+        (
+            "class A { boolean b = o instanceof Map<?, ?> m && m.isEmpty(), c; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.b"),
+             (IdentifierKind.ATTRIBUTE, "A.c")],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
-         "conditional", "comparisons"],
+         "conditional", "comparisons", "annotated_generic_new", "generic_instanceof"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
@@ -536,7 +539,6 @@ def _check_extraction(text):
     """Extraction does not raise, and what it returns is well formed."""
     ids, diagnostics = extract_identifiers(_unit(text))
     assert all(IDENTIFIER_RE.fullmatch(i.simple_name) for i in ids)
-    assert [i.ordinal for i in ids] == list(range(len(ids)))
     last_line = text.count("\n") + 1
     assert all(1 <= i.line <= last_line for i in ids)
     assert all(1 <= d.line <= last_line for d in diagnostics)

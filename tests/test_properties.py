@@ -140,8 +140,7 @@ _KINDS = st.sampled_from(list(IdentifierKind))
 @given(st.lists(st.tuples(identifier_names, _KINDS), max_size=25))
 def test_kind_decomposition(entries):
     ids = [
-        Identifier(kind, name, f"p.{name}", "G.java", 1, ordinal)
-        for ordinal, (name, kind) in enumerate(entries)
+        Identifier(kind, name, f"p.{name}", "G.java", 1) for name, kind in entries
     ]
     cfg = FilterConfig()
     all_weights = {
@@ -169,8 +168,7 @@ _lexicon_names = st.lists(st.sampled_from(_STEM_POOL), min_size=1, max_size=3).m
 )
 def test_one_pass_counts_equal_per_tag_scans(entries, kind, stop_words_enabled):
     ids = [
-        Identifier(ident_kind, name, f"p.{name}", "G.java", 1, ordinal)
-        for ordinal, (name, ident_kind) in enumerate(entries)
+        Identifier(ident_kind, name, f"p.{name}", "G.java", 1) for name, ident_kind in entries
     ]
     selected = [i for i in ids if kind is CloudKind.ALL or i.kind.name == kind.name]
     cfg = FilterConfig(stop_words_enabled=stop_words_enabled)

@@ -102,8 +102,9 @@ def test_empty_cloud_renders_background_only():
     svg = render_svg(_cloud([]), RenderConfig())
     root = ET.fromstring(svg)
     assert root.tag == f"{SVG_NS}svg"
-    assert root.find(f"{SVG_NS}rect") is not None
+    assert root.find(f"{SVG_NS}rect").get("fill") == "white"
     assert _texts(svg) == []
+    assert '<body style="background:white;' in render_html(_cloud([]), RenderConfig())
 
 
 def test_svg_dimensions_and_larger_weight_larger_font():
@@ -162,23 +163,3 @@ def test_html_frequency_annotation_color():
     html = render_html(_cloud([Tag("draw", 10)], show_frequency=True), RenderConfig())
     assert "color:red;" in html and ">[10]</span>" in html
 
-
-def test_colors_configurable():
-    cfg = RenderConfig(label_color="#202020", freq_color="#aa0000", background="#fafafa")
-    svg = render_svg(_cloud([Tag("draw", 2)], show_frequency=True), cfg)
-    assert 'fill="#202020"' in svg and 'fill="#aa0000"' in svg and 'fill="#fafafa"' in svg
-
-
-def test_colors_with_markup_characters_stay_well_formed():
-    color = 'a"b&c<'
-    cfg = RenderConfig(label_color=color, freq_color=color, background=color)
-    cloud = _cloud([Tag("draw", 2), Tag("shape", 1)], show_frequency=True)
-    svg = ET.fromstring(render_svg(cloud, cfg))
-    assert svg.find(f"{SVG_NS}rect").get("fill") == color
-    assert [t.get("fill") for t in svg.iter(f"{SVG_NS}text")] == [color] * 4
-    html = render_html(cloud, cfg)
-    body = ET.fromstring(html[html.index("<body") : html.index("</body>") + len("</body>")])
-    assert body.get("style").startswith(f"background:{color};")
-    spans = list(body.iter("span"))
-    assert len(spans) == 4
-    assert all(span.get("style").endswith(f";color:{color};") for span in spans)

@@ -8,6 +8,7 @@ from codecloud import (
     split_identifier,
     stem_word,
 )
+from codecloud.stemmer import DETACHMENT_RULES
 
 from conftest import FIXTURES
 
@@ -92,8 +93,8 @@ def test_stems_stay_lowercase_alphabetic(lexicon):
         assert stem == "" or all("a" <= c <= "z" for c in stem), (word, stem)
 
 
-def test_rule_table_shape(lexicon):
-    for suffix, replacement, min_stem, _gated in lexicon.detachment_rules:
+def test_rule_table_shape():
+    for suffix, replacement, min_stem, _gated in DETACHMENT_RULES:
         assert suffix and min_stem >= 2
         assert all("a" <= c <= "z" for c in suffix)
         assert all("a" <= c <= "z" for c in replacement) or replacement == ""

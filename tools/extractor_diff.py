@@ -33,8 +33,8 @@ _OPENINGS = (
 )
 _TOKENS = (
     "package import class interface enum record extends implements permits throws "
-    "public static final abstract default sealed void int new return this A B x y "
-    "( ) { } [ ] ; , . @ < > = + - * / "
+    "public static final abstract default sealed void int new instanceof return this A B x y "
+    "( ) { } [ ] ; , . : ? @ < > = + - * / "
     "\"s\" \" 'c' ' 1 1.5e3 \"\"\"\nt\"\"\" \"\"\" // /* */ $ _ \u0663"
 ).split(" ")
 
@@ -60,9 +60,9 @@ def outcome(module: types.ModuleType, path: str, text: str):
         return f"raised {exc!r:.200}"
     # older revisions return the identifiers and record diagnostics on the unit
     ids, diagnostics = result if isinstance(result, tuple) else (result, unit.diagnostics)
+    # list position orders the identifiers, so an older revision's ordinal is not compared
     return (
-        [(i.kind.value, i.simple_name, i.qualified_name, i.file, i.line, i.ordinal)
-         for i in ids],
+        [(i.kind.value, i.simple_name, i.qualified_name, i.file, i.line) for i in ids],
         [(d.message, d.line) for d in diagnostics],
     )
 
