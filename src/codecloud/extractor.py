@@ -1,20 +1,20 @@
 """Declaration-level scanning of Java source trees.
 
-A lexer cuts the source into token texts, dropping comments and keeping
-each literal whole, and a brace-tracking parser walks the token texts and
-emits one identifier per declaration:
-the package declaration, every type declaration (class, interface, enum,
-annotation type, record; nested included), every field declarator and enum
-constant, and every method or constructor.  The parser reads tokens only up
-to the next '{'.  Method bodies, initializer blocks and brace initializers
-(anonymous class bodies included) are skipped by a character scan that
-counts braces outside comments and literals, so they are never tokenized;
-an unterminated literal or comment inside them is still diagnosed.  Local
-variables, parameters, and type parameters are never inspected, so the
-parser needs no expression grammar.  Files that do not parse cleanly
-recover at the next plausible boundary and report diagnostics instead of
-failing.  Open type bodies are kept on an explicit stack, not in recursion,
-so no nesting depth makes extraction raise.
+A lexer cuts the source into token texts, dropping comments and keeping each
+literal whole, and a brace-tracking parser walks the token texts and emits
+one identifier per declaration: the package declaration, every type
+declaration (class, interface, enum, annotation type, record; nested
+included), every field declarator and enum constant, and every method or
+constructor.  The parser reads tokens only up to the next '{'.  Method
+bodies, initializer blocks and brace initializers (anonymous class bodies
+included) are skipped by a character scan that counts braces outside comments
+and literals; only inside parentheses or brackets (``f(new T() { })``) are
+they walked token by token.  An unterminated literal or comment is diagnosed
+either way.  Local variables, parameters, and type parameters are never
+inspected, so the parser needs no expression grammar.  Files that do not
+parse cleanly recover at the next plausible boundary and report diagnostics
+instead of failing.  Open type bodies are kept on an explicit stack, not in
+recursion, so no nesting depth makes extraction raise.
 """
 
 from __future__ import annotations
@@ -146,10 +146,11 @@ _is_name = re.compile(r"[^\W\d]|\$").match
 
 # --- parser --------------------------------------------------------------
 
-_OPEN_TO_CLOSE = {"(": ")", "{": "}", "[": "]"}
+_OPEN_TO_CLOSE = {"(": ")", "[": "]"}
 _MEMBER_ENDS = frozenset("(=,;{}")
 #: What may follow an enum constant's name (JLS 8.9.1).
 _CONSTANT_ENDS = frozenset(",;}({")
+_METHOD_REFERENCE_TYPE = re.compile(r"<[\w$\s.,?&@\[\]<>]*>\s*::")
 
 
 class _Extraction:
@@ -242,8 +243,7 @@ class _Extraction:
         """Skip past a balanced bracket group; cursor sits on the opener."""
         start = self.pos
         opener = self.tokens[start]
-        if opener == "{" and self.lexed_to == self.offsets[start] + 1:
-            # lexing stopped at this '{', so its body has no tokens yet
+        if opener == "{":  # the last token lexed: no lookahead passes a '{'
             self._skip_body()
             return
         closer = _OPEN_TO_CLOSE[opener]
@@ -541,7 +541,7 @@ class _Extraction:
             if expect_name and _is_name(value):
                 self._emit(IdentifierKind.ATTRIBUTE, value, scope, self.pos)
                 expect_name = False
-            elif value in _OPEN_TO_CLOSE:
+            elif value in _OPEN_TO_CLOSE or value == "{":
                 self._skip_balanced()
                 continue
             elif value == ";":
@@ -563,10 +563,9 @@ class _Extraction:
         """Whether the '<' under the cursor, in an initializer, opens type arguments.
 
         It does after '.' or '::' (``Collections.<K, V>emptyMap()``), after
-        ``new``, and after the type name of a ``new`` or an ``instanceof``,
-        which may be qualified and annotated (``new java.util.@A HashMap<K, V>()``,
-        ``o instanceof Map<?, ?> m``); anywhere else it is a comparison.  A
-        comparison's left operand never directly follows such a type name.
+        ``new``, after a ``new`` or ``instanceof`` type name, qualified or
+        annotated (``new a.@A(1) T<K, V>()``, ``o instanceof Map<?, ?> m``),
+        and before '>' '::' (``T<K, V>::new``): never in a comparison.
         """
         tokens = self.tokens
         at = self.pos - 1
@@ -574,9 +573,17 @@ class _Extraction:
             return True
         while at >= 1 and (_is_name(tokens[at]) or tokens[at] in (".", "@")):
             at -= 1
+            if tokens[at] == ")":  # the arguments of an annotation `@A(...)`, or else stop
+                depth = 1
+                while depth and at > 2:
+                    at -= 1
+                    depth += (tokens[at] == ")") - (tokens[at] == "(")
+                if depth or tokens[at - 2] != "@":
+                    break
+                at -= 2
             if tokens[at] in ("new", "instanceof"):
                 return True
-        return False
+        return _METHOD_REFERENCE_TYPE.match(self.text, self.offsets[self.pos]) is not None
 
 
 def extract_identifiers(unit: SourceUnit) -> tuple[list[Identifier], list[Diagnostic]]:

@@ -47,34 +47,36 @@ def _is_lower_alpha(word: str) -> bool:
     return word.isascii() and word.isalpha() and word.islower()
 
 
-def _iter_data_lines(text: str, source: str):
+def _iter_data_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield lineno, line, source
+            yield lineno, line
 
 
 def _read_word_set(text: str, source: str) -> frozenset[str]:
     words = set()
-    for lineno, line, src in _iter_data_lines(text, source):
+    for lineno, line in _iter_data_lines(text):
         if not _is_lower_alpha(line):
-            raise LexiconError(f"{src}:{lineno}: expected one lowercase word, got {line!r}")
+            raise LexiconError(f"{source}:{lineno}: expected one lowercase word, got {line!r}")
         words.add(line)
     return frozenset(words)
 
 
 def _read_pairs(text: str, source: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    for lineno, line, src in _iter_data_lines(text, source):
+    for lineno, line in _iter_data_lines(text):
         parts = line.split()
         if len(parts) != 2 or not all(_is_lower_alpha(p) for p in parts):
-            raise LexiconError(f"{src}:{lineno}: expected two lowercase words, got {line!r}")
+            raise LexiconError(f"{source}:{lineno}: expected two lowercase words, got {line!r}")
         pairs[parts[0]] = parts[1]
     return pairs
 
 
-def _bundled(name: str) -> str:
-    return (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+def _data_file(name: str, override: str | Path | None = None) -> tuple[str, str]:
+    """Text of the bundled data file ``name`` or of its override, and its label."""
+    path = Path(__file__).parent / "data" / name if override is None else Path(override)
+    return path.read_text(encoding="utf-8"), name if override is None else str(override)
 
 
 def load_lexicon(
@@ -86,19 +88,9 @@ def load_lexicon(
     ``exceptions.txt`` holds one ``inflected base`` pair per line,
     ``stopwords.txt`` one word per line; ``#`` starts a comment in both.
     """
-    if exceptions_path is None:
-        exceptions = _read_pairs(_bundled("exceptions.txt"), "exceptions.txt")
-    else:
-        exceptions = _read_pairs(
-            Path(exceptions_path).read_text(encoding="utf-8"), str(exceptions_path)
-        )
-    if stopwords_path is None:
-        stop_words = _read_word_set(_bundled("stopwords.txt"), "stopwords.txt")
-    else:
-        stop_words = _read_word_set(
-            Path(stopwords_path).read_text(encoding="utf-8"), str(stopwords_path)
-        )
-    word_list = _read_word_set(_bundled("wordlist.txt"), "wordlist.txt")
+    exceptions = _read_pairs(*_data_file("exceptions.txt", exceptions_path))
+    stop_words = _read_word_set(*_data_file("stopwords.txt", stopwords_path))
+    word_list = _read_word_set(*_data_file("wordlist.txt"))
     return StemLexicon(exceptions=exceptions, stop_words=stop_words, word_list=word_list)
 
 

@@ -13,64 +13,63 @@ from pathlib import Path
 from codecloud.evaluator import oracle_words
 from codecloud.stemmer import load_lexicon
 
-# (file, ordinal, kind, simpleName, qualifiedName), in path-byte order.
-# Ordinal 0 of every file after the first is its package declaration,
-# deduplicated corpus-wide, so those entries are absent here.
+# (file, kind, simpleName, qualifiedName), in path-byte order.  Every file
+# after the first repeats the package declaration, which is deduplicated
+# corpus-wide, so only the first file lists it.
 INVENTORY = [
-    ("DrawPanel.java", 0, "Package", "shapes", "shapes"),
-    ("DrawPanel.java", 1, "Class", "DrawPanel", "shapes.DrawPanel"),
-    ("DrawPanel.java", 2, "Attribute", "shapes", "shapes.DrawPanel.shapes"),
-    ("DrawPanel.java", 3, "Attribute", "drawColor", "shapes.DrawPanel.drawColor"),
-    ("DrawPanel.java", 4, "Method", "addShape", "shapes.DrawPanel.addShape"),
-    ("DrawPanel.java", 5, "Method", "removeShape", "shapes.DrawPanel.removeShape"),
-    ("DrawPanel.java", 6, "Method", "drawAll", "shapes.DrawPanel.drawAll"),
-    ("DrawPanel.java", 7, "Method", "getDrawColor", "shapes.DrawPanel.getDrawColor"),
-    ("DrawPanel.java", 8, "Method", "setDrawColor", "shapes.DrawPanel.setDrawColor"),
-    ("DrawingShapes.java", 1, "Class", "DrawingShapes", "shapes.DrawingShapes"),
-    ("DrawingShapes.java", 2, "Method", "main", "shapes.DrawingShapes.main"),
-    ("Line.java", 1, "Class", "Line", "shapes.Line"),
-    ("Line.java", 2, "Attribute", "length", "shapes.Line.length"),
-    ("Line.java", 3, "Method", "Line", "shapes.Line.Line"),
-    ("Line.java", 4, "Method", "drawShape", "shapes.Line.drawShape"),
-    ("Oval.java", 1, "Class", "Oval", "shapes.Oval"),
-    ("Oval.java", 2, "Attribute", "horizontalRadius", "shapes.Oval.horizontalRadius"),
-    ("Oval.java", 3, "Attribute", "verticalRadius", "shapes.Oval.verticalRadius"),
-    ("Oval.java", 4, "Method", "Oval", "shapes.Oval.Oval"),
-    ("Oval.java", 5, "Method", "drawShape", "shapes.Oval.drawShape"),
-    ("Rectangle.java", 1, "Class", "Rectangle", "shapes.Rectangle"),
-    ("Rectangle.java", 2, "Attribute", "width", "shapes.Rectangle.width"),
-    ("Rectangle.java", 3, "Attribute", "height", "shapes.Rectangle.height"),
-    ("Rectangle.java", 4, "Method", "Rectangle", "shapes.Rectangle.Rectangle"),
-    ("Rectangle.java", 5, "Method", "drawShape", "shapes.Rectangle.drawShape"),
-    ("Shape.java", 1, "Class", "Shape", "shapes.Shape"),
-    ("Shape.java", 2, "Attribute", "x", "shapes.Shape.x"),
-    ("Shape.java", 3, "Attribute", "y", "shapes.Shape.y"),
-    ("Shape.java", 4, "Attribute", "color", "shapes.Shape.color"),
-    ("Shape.java", 5, "Method", "drawShape", "shapes.Shape.drawShape"),
-    ("Shape.java", 6, "Method", "getColor", "shapes.Shape.getColor"),
-    ("Shape.java", 7, "Method", "setColor", "shapes.Shape.setColor"),
+    ("DrawPanel.java", "Package", "shapes", "shapes"),
+    ("DrawPanel.java", "Class", "DrawPanel", "shapes.DrawPanel"),
+    ("DrawPanel.java", "Attribute", "shapes", "shapes.DrawPanel.shapes"),
+    ("DrawPanel.java", "Attribute", "drawColor", "shapes.DrawPanel.drawColor"),
+    ("DrawPanel.java", "Method", "addShape", "shapes.DrawPanel.addShape"),
+    ("DrawPanel.java", "Method", "removeShape", "shapes.DrawPanel.removeShape"),
+    ("DrawPanel.java", "Method", "drawAll", "shapes.DrawPanel.drawAll"),
+    ("DrawPanel.java", "Method", "getDrawColor", "shapes.DrawPanel.getDrawColor"),
+    ("DrawPanel.java", "Method", "setDrawColor", "shapes.DrawPanel.setDrawColor"),
+    ("DrawingShapes.java", "Class", "DrawingShapes", "shapes.DrawingShapes"),
+    ("DrawingShapes.java", "Method", "main", "shapes.DrawingShapes.main"),
+    ("Line.java", "Class", "Line", "shapes.Line"),
+    ("Line.java", "Attribute", "length", "shapes.Line.length"),
+    ("Line.java", "Method", "Line", "shapes.Line.Line"),
+    ("Line.java", "Method", "drawShape", "shapes.Line.drawShape"),
+    ("Oval.java", "Class", "Oval", "shapes.Oval"),
+    ("Oval.java", "Attribute", "horizontalRadius", "shapes.Oval.horizontalRadius"),
+    ("Oval.java", "Attribute", "verticalRadius", "shapes.Oval.verticalRadius"),
+    ("Oval.java", "Method", "Oval", "shapes.Oval.Oval"),
+    ("Oval.java", "Method", "drawShape", "shapes.Oval.drawShape"),
+    ("Rectangle.java", "Class", "Rectangle", "shapes.Rectangle"),
+    ("Rectangle.java", "Attribute", "width", "shapes.Rectangle.width"),
+    ("Rectangle.java", "Attribute", "height", "shapes.Rectangle.height"),
+    ("Rectangle.java", "Method", "Rectangle", "shapes.Rectangle.Rectangle"),
+    ("Rectangle.java", "Method", "drawShape", "shapes.Rectangle.drawShape"),
+    ("Shape.java", "Class", "Shape", "shapes.Shape"),
+    ("Shape.java", "Attribute", "x", "shapes.Shape.x"),
+    ("Shape.java", "Attribute", "y", "shapes.Shape.y"),
+    ("Shape.java", "Attribute", "color", "shapes.Shape.color"),
+    ("Shape.java", "Method", "drawShape", "shapes.Shape.drawShape"),
+    ("Shape.java", "Method", "getColor", "shapes.Shape.getColor"),
+    ("Shape.java", "Method", "setColor", "shapes.Shape.setColor"),
 ]
 
 
 def main() -> None:
     lexicon = load_lexicon()
     weights: dict[str, int] = {}
-    for _file, _ordinal, _kind, simple, _qualified in INVENTORY:
+    for _file, _kind, simple, _qualified in INVENTORY:
         for stem in oracle_words(simple, lexicon):
             weights[stem] = weights.get(stem, 0) + 1
     by_kind: dict[str, int] = {}
-    for _file, _ordinal, kind, _simple, _qualified in INVENTORY:
+    for _file, kind, _simple, _qualified in INVENTORY:
         by_kind[kind] = by_kind.get(kind, 0) + 1
     payload = {
         "identifiers": [
             {
                 "file": file,
-                "ordinal": ordinal,
                 "kind": kind,
                 "simpleName": simple,
                 "qualifiedName": qualified,
             }
-            for file, ordinal, kind, simple, qualified in INVENTORY
+            for file, kind, simple, qualified in INVENTORY
         ],
         "kindCounts": by_kind,
         "tags": {stem: weights[stem] for stem in sorted(weights)},

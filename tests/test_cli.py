@@ -3,8 +3,6 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
-import pytest
-
 from codecloud import (
     CloudKind,
     FilterConfig,
@@ -18,8 +16,6 @@ from codecloud import (
     scan_tree,
 )
 
-from bigcorpus import write_big_corpus
-
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
@@ -29,13 +25,6 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
-
-
-@pytest.fixture(scope="session")
-def big_corpus(tmp_path_factory):
-    root = tmp_path_factory.mktemp("bigcorpus")
-    lines = write_big_corpus(root)
-    return root, lines
 
 
 def _svg_texts(svg_text):
@@ -244,7 +233,7 @@ def test_no_stopwords_flag(drawing_shapes_dir):
 
 
 def test_determinism_sequential_and_parallel(big_corpus, lexicon):
-    root, _ = big_corpus
+    root = big_corpus.root
     ids = extract_corpus(scan_tree(root), parallel=True)
     cloud = build_cloud(ids, CloudKind.ALL, lexicon, FilterConfig(), root.name)
     parallel = render_svg(cloud, RenderConfig())
@@ -259,14 +248,13 @@ def test_cli_starts_no_worker_process(big_corpus, monkeypatch):
         raise AssertionError("the CLI started a process pool")
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-    root, _ = big_corpus
+    root = big_corpus.root
     assert cli.main(["cloud", str(root), "--format", "svg"]) == 0
     assert cli.main(["eval", str(root)]) == 0
 
 
 def test_eval_perfect_on_big_corpus(big_corpus):
-    root, _ = big_corpus
-    result = run_cli("eval", root, "--format", "csv")
+    result = run_cli("eval", big_corpus.root, "--format", "csv")
     assert result.returncode == 0
 
 

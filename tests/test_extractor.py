@@ -7,6 +7,7 @@ from codecloud import (
     CorpusError,
     IdentifierKind,
     SourceUnit,
+    compute_stats,
     extract_corpus,
     extract_identifiers,
     scan_tree,
@@ -239,9 +240,26 @@ def test_package_deduplicated_corpus_wide(drawing_shapes_ids):
     assert [p.qualified_name for p in packages] == ["shapes"]
 
 
+def test_drawing_shapes_inventory(drawing_shapes_ids, drawing_shapes_expected):
+    # the fixture's hand-listed inventory, in path-byte order, and its kind counts
+    assert [
+        (i.file, i.kind.value, i.simple_name, i.qualified_name) for i in drawing_shapes_ids
+    ] == [
+        (e["file"], e["kind"], e["simpleName"], e["qualifiedName"])
+        for e in drawing_shapes_expected["identifiers"]
+    ]
+    stats = compute_stats(drawing_shapes_ids, [], 0)
+    assert drawing_shapes_expected["kindCounts"] == {
+        "Package": stats.packages,
+        "Class": stats.classes,
+        "Attribute": stats.attributes,
+        "Method": stats.methods,
+    }
+
+
 def test_extraction_is_deterministic(drawing_shapes_dir):
-    first = extract_corpus(scan_tree(drawing_shapes_dir), parallel=False)
-    second = extract_corpus(scan_tree(drawing_shapes_dir), parallel=False)
+    first = extract_corpus(scan_tree(drawing_shapes_dir))
+    second = extract_corpus(scan_tree(drawing_shapes_dir))
     assert first == second
 
 
@@ -297,7 +315,7 @@ def test_bom_and_crlf_sources(tmp_path):
     )
     units = scan_tree(tmp_path)
     assert not units[0].diagnostics
-    ids = extract_corpus(units, parallel=False)
+    ids = extract_corpus(units)
     assert [(i.simple_name, i.line) for i in ids] == [("p", 1), ("A", 2), ("x", 3)]
 
 
@@ -305,13 +323,13 @@ def test_invalid_utf8_is_replaced_with_diagnostic(tmp_path):
     (tmp_path / "A.java").write_bytes(b"class A { int x; }\n// caf\xe9 comment\n")
     units = scan_tree(tmp_path)
     assert any("UTF-8" in d.message for d in units[0].diagnostics)
-    ids = extract_corpus(units, parallel=False)
+    ids = extract_corpus(units)
     assert [i.simple_name for i in ids] == ["A", "x"]
 
 
 def test_broken_source_recovers_with_diagnostics(broken_dir):
     units = scan_tree(broken_dir)
-    ids = extract_corpus(units, parallel=False)
+    ids = extract_corpus(units)
     assert [i.simple_name for i in ids] == ["broken", "Broken", "fine", "bad"]
     assert units[0].diagnostics
 
@@ -501,9 +519,57 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.b"),
              (IdentifierKind.ATTRIBUTE, "A.c")],
         ),
+        # type arguments before '::', and after a `new` type's annotation arguments
+        (
+            "class A { Supplier<Object> s = HashMap<String, Integer>::new, t; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.s"),
+             (IdentifierKind.ATTRIBUTE, "A.t")],
+        ),
+        (
+            "class A { Object q = new @Ann(1) HashMap<String, Integer>(), r; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.q"),
+             (IdentifierKind.ATTRIBUTE, "A.r")],
+        ),
+        # header forms that only the random soups reached before
+        (
+            "class Box<T extends Comparable<T>> implements Comparable<Box<T>> {\n"
+            "    public int compareTo(Box<T> o) { return 0; }\n}",
+            [(IdentifierKind.CLASS, "Box"), (IdentifierKind.METHOD, "Box.compareTo")],
+        ),
+        (
+            "record Unit() { static int count; }",
+            [(IdentifierKind.CLASS, "Unit"), (IdentifierKind.ATTRIBUTE, "Unit.count")],
+        ),
+        (
+            '@interface Tags { String[] value() default {"a", "b"}; int size(); }',
+            [(IdentifierKind.CLASS, "Tags"), (IdentifierKind.METHOD, "Tags.value"),
+             (IdentifierKind.METHOD, "Tags.size")],
+        ),
+        (
+            "class B { @interface Marker { } int x; }",
+            [(IdentifierKind.CLASS, "B"), (IdentifierKind.CLASS, "B.Marker"),
+             (IdentifierKind.ATTRIBUTE, "B.x")],
+        ),
+        (
+            "class C { @java.lang.Deprecated int legacy; }",
+            [(IdentifierKind.CLASS, "C"), (IdentifierKind.ATTRIBUTE, "C.legacy")],
+        ),
+        (
+            "class D { int grid()[] { return null; } }",
+            [(IdentifierKind.CLASS, "D"), (IdentifierKind.METHOD, "D.grid")],
+        ),
+        (
+            "enum E { @Deprecated OLD, NEW }",
+            [(IdentifierKind.CLASS, "E"), (IdentifierKind.ATTRIBUTE, "E.OLD"),
+             (IdentifierKind.ATTRIBUTE, "E.NEW")],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
-         "conditional", "comparisons", "annotated_generic_new", "generic_instanceof"],
+         "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
+         "generic_type_method_ref", "annotation_arguments_generic_new",
+         "bounded_generic_header", "componentless_record", "array_default",
+         "nested_annotation_type", "qualified_annotation", "array_dims_after_params",
+         "annotated_enum_constant"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too

@@ -73,7 +73,7 @@ def test_idempotent_over_exception_values(lexicon):
 
 def test_idempotent_over_fixture_words(lexicon):
     for sub in ("drawing_shapes", "menagerie", "broken"):
-        for identifier in extract_corpus(scan_tree(FIXTURES / sub), parallel=False):
+        for identifier in extract_corpus(scan_tree(FIXTURES / sub)):
             for word in split_identifier(identifier.simple_name):
                 once = stem_word(word, lexicon)
                 assert stem_word(once, lexicon) == once, (identifier.simple_name, word)
