@@ -150,7 +150,10 @@ _OPEN_TO_CLOSE = {"(": ")", "[": "]"}
 _MEMBER_ENDS = frozenset("(=,;{}")
 #: What may follow an enum constant's name (JLS 8.9.1).
 _CONSTANT_ENDS = frozenset(",;}({")
-_METHOD_REFERENCE_TYPE = re.compile(r"<[\w$\s.,?&@\[\]<>]*>\s*::")
+#: Besides names, the tokens of a run of declarators after a comma (JLS 8.3),
+#: and the tokens that may end that run; "" is the end of the file.
+_DECLARATOR_RUN = frozenset(",[]@.")
+_DECLARATOR_RUN_ENDS = frozenset(("=", ";", "}", ""))
 
 
 class _Extraction:
@@ -532,10 +535,13 @@ class _Extraction:
         """Remaining ``, next [= init]`` declarators up to ';'.
 
         ``first_at`` is the position of the first declarator, where an
-        unfinished declaration is reported.  A comma inside type arguments
-        (``new HashMap<K, V>()``) separates no declarators.
+        unfinished declaration is reported.  A comma outside brackets starts a
+        declarator exactly when the run of names, ',', '[', ']', '@' and '.'
+        after it ends at '=' or ';' (or '}' or the end, in malformed input);
+        a comma inside type arguments (``new HashMap<K, V>()``) reaches '>'
+        or another token first.  Each run is scanned once, for its first comma.
         """
-        angle = 0  # depth of type arguments
+        run_end = -1  # position of the token that ends the latest run scanned
         while self.pos < len(self.tokens) or self._fill():
             value = self.tokens[self.pos]
             if expect_name and _is_name(value):
@@ -547,43 +553,19 @@ class _Extraction:
             elif value == ";":
                 self.pos += 1
                 return
-            elif value == "<" and (angle or self._opens_type_arguments()):
-                angle += 1
-            elif value == ">" and angle:
-                angle -= 1
-            elif value == "," and not angle:
-                expect_name = True
+            elif value == ",":
+                if self.pos > run_end:
+                    ahead = 1
+                    while (token := self._peek(ahead)) in _DECLARATOR_RUN or _is_name(token):
+                        ahead += 1
+                    run_end = self.pos + ahead
+                    separates = token in _DECLARATOR_RUN_ENDS
+                expect_name = expect_name or separates
             elif value == "}":
                 self._diag("field declaration ends abruptly", self.pos)
                 return
             self.pos += 1
         self._diag("field declaration ends at end of file", first_at)
-
-    def _opens_type_arguments(self) -> bool:
-        """Whether the '<' under the cursor, in an initializer, opens type arguments.
-
-        It does after '.' or '::' (``Collections.<K, V>emptyMap()``), after
-        ``new``, after a ``new`` or ``instanceof`` type name, qualified or
-        annotated (``new a.@A(1) T<K, V>()``, ``o instanceof Map<?, ?> m``),
-        and before '>' '::' (``T<K, V>::new``): never in a comparison.
-        """
-        tokens = self.tokens
-        at = self.pos - 1
-        if tokens[at] in (".", ":", "new"):
-            return True
-        while at >= 1 and (_is_name(tokens[at]) or tokens[at] in (".", "@")):
-            at -= 1
-            if tokens[at] == ")":  # the arguments of an annotation `@A(...)`, or else stop
-                depth = 1
-                while depth and at > 2:
-                    at -= 1
-                    depth += (tokens[at] == ")") - (tokens[at] == "(")
-                if depth or tokens[at - 2] != "@":
-                    break
-                at -= 2
-            if tokens[at] in ("new", "instanceof"):
-                return True
-        return _METHOD_REFERENCE_TYPE.match(self.text, self.offsets[self.pos]) is not None
 
 
 def extract_identifiers(unit: SourceUnit) -> tuple[list[Identifier], list[Diagnostic]]:

@@ -30,8 +30,8 @@ class RenderConfig(_RenderFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.page_width_px <= 0:
             raise ValueError("page_width_px must be positive")
-        if self.min_font_pt > self.max_font_pt:
-            raise ValueError("min_font_pt must not exceed max_font_pt")
+        if not 0 < self.min_font_pt <= self.max_font_pt < float("inf"):  # NaN fails too
+            raise ValueError("font sizes must satisfy 0 < min_font_pt <= max_font_pt < inf")
         return self
 
     @classmethod

@@ -96,6 +96,11 @@ def test_out_of_range_flag_values_are_usage_errors(drawing_shapes_dir):
     result = run_cli("cloud", drawing_shapes_dir, "--page-width", "-5")
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
+    for fonts in (("--min-font", "nan"), ("--max-font", "inf"),
+                  ("--min-font", "-5", "--max-font", "-1")):
+        result = run_cli("cloud", drawing_shapes_dir, *fonts)
+        assert result.returncode == 1 and result.stdout == "", fonts
+        assert result.stderr.startswith("codecloud: error: font sizes must satisfy"), fonts
 
 
 def test_kind_selection(drawing_shapes_dir):

@@ -12,7 +12,7 @@ from codecloud import (
     extract_identifiers,
     scan_tree,
 )
-from codecloud.extractor import IDENTIFIER_RE, identifier_to_dict
+from codecloud.extractor import IDENTIFIER_RE, _Extraction, identifier_to_dict
 
 
 def _unit(text, path="Test.java"):
@@ -42,6 +42,26 @@ def test_multi_declarator_field():
         (IdentifierKind.ATTRIBUTE, "x"),
         (IdentifierKind.ATTRIBUTE, "y"),
     ]
+
+
+def test_long_field_is_scanned_in_linear_time(monkeypatch):
+    """The run after a comma is scanned once, not again for each comma in it."""
+    count = 20_000
+    source = "class A { int " + ", ".join(f"a{index}" for index in range(count)) + "; }"
+    tokens = 2 * count + 5
+    peeks = 0
+    peek = _Extraction._peek
+
+    def counted_peek(self, offset=0):
+        nonlocal peeks
+        peeks += 1
+        assert peeks <= 2 * tokens, "the declarator lookahead re-scans its run"
+        return peek(self, offset)
+
+    monkeypatch.setattr(_Extraction, "_peek", counted_peek)
+    ids, diagnostics = extract_identifiers(_unit(source))
+    assert [i.simple_name for i in ids] == ["A"] + [f"a{index}" for index in range(count)]
+    assert diagnostics == []
 
 
 def test_multi_declarator_with_initializers():
@@ -563,13 +583,49 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             [(IdentifierKind.CLASS, "E"), (IdentifierKind.ATTRIBUTE, "E.OLD"),
              (IdentifierKind.ATTRIBUTE, "E.NEW")],
         ),
+        # a comma starts a declarator when names, ',', '[', ']', '@' and '.' after
+        # it reach '=' or ';', and separates type arguments when they reach '>'
+        (
+            "class A { Supplier<Object> s = HashMap<String /* c */, Integer>::new, t; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.s"),
+             (IdentifierKind.ATTRIBUTE, "A.t")],
+        ),
+        (
+            "class A { Supplier<Object> s = HashMap<@B(1) String, Integer>::new, t; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.s"),
+             (IdentifierKind.ATTRIBUTE, "A.t")],
+        ),
+        (
+            "class A { Object q = new @a.Ann(1) HashMap<String, Integer>(), r; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.q"),
+             (IdentifierKind.ATTRIBUTE, "A.r")],
+        ),
+        (
+            "class A { int a = 1, b @T [], c; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.a"),
+             (IdentifierKind.ATTRIBUTE, "A.b"), (IdentifierKind.ATTRIBUTE, "A.c")],
+        ),
+        (
+            "class A { Object t = new Triple<A, B[], C>(), u; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.t"),
+             (IdentifierKind.ATTRIBUTE, "A.u")],
+        ),
+        (
+            "class A<K, V> { int x, y; Object o = new HashMap<K, List<V>>(), p = x < y, q; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.x"),
+             (IdentifierKind.ATTRIBUTE, "A.y"), (IdentifierKind.ATTRIBUTE, "A.o"),
+             (IdentifierKind.ATTRIBUTE, "A.p"), (IdentifierKind.ATTRIBUTE, "A.q")],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
          "generic_type_method_ref", "annotation_arguments_generic_new",
          "bounded_generic_header", "componentless_record", "array_default",
          "nested_annotation_type", "qualified_annotation", "array_dims_after_params",
-         "annotated_enum_constant"],
+         "annotated_enum_constant", "commented_type_method_ref",
+         "annotated_argument_method_ref", "qualified_annotation_generic_new",
+         "annotated_dims_later_declarator", "array_type_argument",
+         "nested_type_arguments_then_comparison"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too

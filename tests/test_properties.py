@@ -15,11 +15,13 @@ from codecloud import (
     Identifier,
     IdentifierKind,
     RenderConfig,
+    SourceUnit,
     Tag,
     TagCloud,
     apply_short_tag_filter,
     build_tags,
     evaluate,
+    extract_identifiers,
     font_size_for,
     load_lexicon,
     split_identifier,
@@ -242,3 +244,48 @@ def test_metric_bounds_and_symmetry(cloud_freq, oracle_freq):
     assert abs(row.f_measure - swapped.f_measure) < 1e-12
     if row.f_measure == 1.0:
         assert row.precision == 1.0 and row.recall == 1.0
+
+
+#: Initializers of an ``Object`` field.  Each compiles with javac 17, plain and
+#: as the one element of an array initializer, given imports of ``java.util``,
+#: ``java.util.function`` and ``p.Ann``, a type-use annotation with an ``int``
+#: value.
+_FIELD_INITIALIZERS = (
+    "new HashMap<String, Integer>()",
+    "new java.util.HashMap<String, List<Integer>>()",
+    "new @Ann(1) HashMap<String, Integer>()",
+    "new @p.Ann(1) HashMap<String, Integer>()",
+    "new java.util.@Ann(2) HashMap<String, Integer[]>()",
+    "(Supplier<Object>) HashMap<String /* c */, Integer>::new",
+    "(Supplier<Object>) HashMap<@Ann(1) String, Integer>::new",
+    "Collections.<String, Integer>emptyMap()",
+    "(Object) 1 instanceof Map<?, ?> m && m.isEmpty()",
+    "1 < 2 == 3 > 4",
+    "1 < 2 ? 3 : 4",
+    "(BiFunction<Integer, Integer, Integer>) (x, y) -> x + y",
+    "(Runnable) () -> { }",
+    'String.format("%s, %s", 1, 2)',
+    "new int[] {1, 2}",
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.booleans(), st.none() | st.sampled_from(_FIELD_INITIALIZERS)),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_field_declarators_are_exactly_the_names(declarators):
+    names = [f"f{index}" for index in range(len(declarators))]
+    parts = []
+    for name, (dims, initializer) in zip(names, declarators):
+        part = name + "[]" * dims
+        if initializer is not None:  # an array declarator holds the initializer as its element
+            part += " = " + (f"{{{initializer}}}" if dims else initializer)
+        parts.append(part)
+    source = f"class A {{ Object {', '.join(parts)}; }}"
+    ids, diagnostics = extract_identifiers(SourceUnit("A.java", source))
+    assert [i.qualified_name for i in ids] == ["A"] + [f"A.{name}" for name in names]
+    assert diagnostics == []

@@ -1,3 +1,4 @@
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -66,6 +67,12 @@ def test_render_config_validated():
         RenderConfig(page_width_px=0)
     with pytest.raises(ValueError):
         RenderConfig(min_font_pt=20, max_font_pt=10)
+    unrenderable = ((math.nan, 40.0), (10.0, math.nan), (10.0, math.inf), (math.inf, math.inf),
+                    (0, 40.0), (-5, -1))
+    for min_font_pt, max_font_pt in unrenderable:
+        with pytest.raises(ValueError):
+            RenderConfig(min_font_pt=min_font_pt, max_font_pt=max_font_pt)
+    assert RenderConfig(min_font_pt=12.5, max_font_pt=12.5).max_font_pt == 12.5
 
 
 def test_configs_validate_replaced_values():
