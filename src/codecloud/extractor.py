@@ -5,16 +5,21 @@ literal whole, and a brace-tracking parser walks the token texts and emits
 one identifier per declaration: the package declaration, every type
 declaration (class, interface, enum, annotation type, record; nested
 included), every field declarator and enum constant, and every method or
-constructor.  The parser reads tokens only up to the next '{'.  Method
-bodies, initializer blocks and brace initializers (anonymous class bodies
-included) are skipped by a character scan that counts braces outside comments
-and literals; only inside parentheses or brackets (``f(new T() { })``) are
-they walked token by token.  An unterminated literal or comment is diagnosed
-either way.  Local variables, parameters, and type parameters are never
-inspected, so the parser needs no expression grammar.  Files that do not
-parse cleanly recover at the next plausible boundary and report diagnostics
-instead of failing.  Open type bodies are kept on an explicit stack, not in
-recursion, so no nesting depth makes extraction raise.
+constructor.  The lexer stops after each ';' and '{', so once a member ends
+the parser has used every token lexed.  Where it has, a member of a type body
+in the common shape (ASCII names, dims and dots, then a parameter list, ';'
+or a simple initializer) is emitted from one anchored regex match without
+being tokenized; every other form goes to the token parser, with the same
+result either way.  Method bodies, initializer blocks and brace initializers
+(anonymous class bodies included) are skipped by a character scan that
+counts braces outside comments and literals; only inside parentheses or
+brackets (``f(new T() { })``) are they walked token by token.  An
+unterminated literal or comment is diagnosed either way.  Local variables,
+parameters, and type parameters are never inspected, so the parser needs no
+expression grammar.  Files that do not parse cleanly recover at the next
+plausible boundary and report diagnostics instead of failing.  Open type
+bodies are kept on an explicit stack, not in recursion, so no nesting depth
+makes extraction raise.
 """
 
 from __future__ import annotations
@@ -143,6 +148,25 @@ _COMMENTS = frozenset({"line_comment", "block_comment"})
 #: A token is a name exactly when it starts the way the ``ident`` group does.
 _is_name = re.compile(r"[^\W\d]|\$").match
 
+#: An ASCII name that is not a type keyword, followed by a character that
+#: ends a name and may follow one in a member header.
+_HEADER_NAME = (
+    r"(?!(?:class|interface|enum|record)[\s.\[\](;=])[A-Za-z_$][A-Za-z0-9_$]*(?=[\s.\[\](;=])"
+)
+
+#: The common member header, whole, at the start of a member: names, '.',
+#: '[' and ']' with no comments between them, then a parameter list that
+#: holds no brackets, literals, comments or braces and is followed by ';' or
+#: a body's '{'; or ';'; or '=', a one-line string without escapes, a decimal
+#: run or a name, and ';'.  ``name`` is the last name, the member's own.
+_MEMBER_RE = re.compile(
+    r"""\s*(?:(?:[.\[\]]|NAME)\s*)*(?P<name>NAME)\s*(?:[.\[\]]\s*)*
+    (?: (?P<params>\([^()"'/{}]*\))\s*(?:;|(?P<body>\{))
+      | (?P<init>=\s*(?:"[^"\\\n]*"|[0-9]+|[A-Za-z_$][A-Za-z0-9_$]*)\s*)?;
+    )""".replace("NAME", _HEADER_NAME),
+    re.VERBOSE,
+)
+
 
 # --- parser --------------------------------------------------------------
 
@@ -160,10 +184,16 @@ class _Extraction:
     """Single-file parse state: token buffer and cursor plus output accumulators.
 
     The buffer holds each token's text and start offset.  It is lexed on
-    demand, up to and including the next '{', so a body that is skipped as a
-    whole is never tokenized: :meth:`_skip_body` counts its braces with
-    :data:`_BODY_RE` instead.  Line numbers are computed from offsets only
-    where something is emitted or diagnosed.
+    demand, up to and including the next ';' or '{', so a body that is
+    skipped as a whole is never tokenized: :meth:`_skip_body` counts its
+    braces with :data:`_BODY_RE` instead.  Line numbers are computed from
+    offsets only where something is emitted or diagnosed.
+
+    When the buffer is drained (the cursor is past every lexed token) at the
+    start of a member of a type body past its enum-constant section,
+    :meth:`_take_member` first tries :data:`_MEMBER_RE` at ``lexed_to``.  A
+    match is the whole member, emitted as the token parser would emit it,
+    so no tokens are lexed for it; anything else is left to the token parser.
 
     ``scope`` arguments are the qualified-name prefix of the enclosing package
     and types: their names, each followed by '.'.
@@ -191,7 +221,7 @@ class _Extraction:
     # -- lexer --
 
     def _fill(self) -> bool:
-        """Lex on through the next '{' or to the end; whether tokens were added."""
+        """Lex on through the next ';' or '{' or to the end; whether tokens were added."""
         count = len(self.tokens)
         for match in _TOKEN_RE.finditer(self.text, self.lexed_to):
             kind = match.lastgroup
@@ -202,7 +232,7 @@ class _Extraction:
             value = match.group(kind)
             self.tokens.append(value)
             self.offsets.append(match.start(kind))
-            if value == "{":
+            if value == ";" or value == "{":
                 self.lexed_to = match.end()
                 break
         else:
@@ -320,7 +350,12 @@ class _Extraction:
     # -- grammar --
 
     def run(self) -> tuple[list[Identifier], list[Diagnostic]]:
-        while self.pos < len(self.tokens) or self._fill():
+        while True:
+            if self.pos == len(self.tokens):
+                if self.bodies and not self.bodies[-1][2] and self._take_member():
+                    continue
+                if not self._fill():
+                    break
             value = self.tokens[self.pos]
             if self.bodies:
                 scope, open_at, in_constants = self.bodies[-1]
@@ -357,6 +392,30 @@ class _Extraction:
         for _, open_at, _ in reversed(self.bodies):
             self._diag("unbalanced '{'", open_at)
         return self.out, self.lexer_diagnostics + self.parser_diagnostics
+
+    def _take_member(self) -> bool:
+        """Emit the member at ``lexed_to`` if :data:`_MEMBER_RE` matches it whole.
+
+        A method named by a keyword is left to the token parser, which
+        reports it; a ';' field named by one is dropped, as there.
+        """
+        match = _MEMBER_RE.match(self.text, self.lexed_to)
+        if match is None:
+            return False
+        name, params, init = match.group("name", "params", "init")
+        keyword = name in _KEYWORDS_NEVER_NAMES
+        if params is not None and keyword:
+            return False
+        if init is not None or not keyword:
+            kind = IdentifierKind.ATTRIBUTE if params is None else IdentifierKind.METHOD
+            line = self._line(match.start("name"))
+            self.out.append(Identifier(kind, name, self.bodies[-1][0] + name, self.path, line))
+        self.lexed_to = match.end()
+        if match.start("body") >= 0:
+            self.tokens.append("{")
+            self.offsets.append(match.start("body"))
+            self._skip_body()
+        return True
 
     def _parse_package(self) -> None:
         start = self.pos

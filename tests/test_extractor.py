@@ -459,6 +459,8 @@ def test_json_dump_shape(drawing_shapes_ids):
         # a member where an enum constant should be ends the constant section
         ("enum E {\n int x;\n}", [("unexpected 'int' in enum constants", 2)]),
         ("enum E {\n class F {}\n}", [("unexpected 'class' in enum constants", 2)]),
+        # a method named by a keyword is left to the token parser, which reports it
+        ("class A {\n void if();\n}", [("stray '(' in type body", 2)]),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -616,6 +618,50 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
              (IdentifierKind.ATTRIBUTE, "A.y"), (IdentifierKind.ATTRIBUTE, "A.o"),
              (IdentifierKind.ATTRIBUTE, "A.p"), (IdentifierKind.ATTRIBUTE, "A.q")],
         ),
+        # forms on the edge of the member-header fast path
+        (
+            "class A { int new = 1; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.new")],
+        ),
+        ("class A { int default; }", [(IdentifierKind.CLASS, "A")]),
+        (
+            "interface I { default void m() {} }",
+            [(IdentifierKind.CLASS, "I"), (IdentifierKind.METHOD, "I.m")],
+        ),
+        (
+            "@interface N { int x() default 5; }",
+            [(IdentifierKind.CLASS, "N"), (IdentifierKind.METHOD, "N.x")],
+        ),
+        (
+            "class A { record R(int x) {} }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.CLASS, "A.R")],
+        ),
+        (
+            "class A { int caf\u00e9; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.caf\u00e9")],
+        ),
+        (
+            "class A { long n = 1L; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.n")],
+        ),
+        (
+            'class A { String s = "a\\"b"; }',
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.s")],
+        ),
+        (
+            "class A { int[] a, b; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.a"),
+             (IdentifierKind.ATTRIBUTE, "A.b")],
+        ),
+        (
+            "class A { a.b.C d; C[] e[]; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.d"),
+             (IdentifierKind.ATTRIBUTE, "A.e")],
+        ),
+        (
+            "class A {\n  public static\n  int[]\n  count\n  [] = 0\n  ;\n}",
+            [(IdentifierKind.CLASS, "A", 1), (IdentifierKind.ATTRIBUTE, "A.count", 4)],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -625,12 +671,17 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "annotated_enum_constant", "commented_type_method_ref",
          "annotated_argument_method_ref", "qualified_annotation_generic_new",
          "annotated_dims_later_declarator", "array_type_argument",
-         "nested_type_arguments_then_comparison"],
+         "nested_type_arguments_then_comparison", "keyword_field_with_initializer",
+         "keyword_field", "interface_default_method", "annotation_element_default",
+         "nested_record", "non_ascii_field", "long_literal_initializer",
+         "escaped_string_initializer", "array_type_declarators", "qualified_and_array_types",
+         "member_over_several_lines"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
     ids, diagnostics = extract_identifiers(_unit(source))
-    assert [(i.kind, i.qualified_name) for i in ids] == expected
+    width = len(expected[0])  # a row may pin each identifier's line as a third field
+    assert [(i.kind, i.qualified_name, i.line)[:width] for i in ids] == expected
     assert diagnostics == []
 
 

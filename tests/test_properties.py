@@ -28,6 +28,7 @@ from codecloud import (
     stem_word,
 )
 from codecloud.evaluator import EvalRow, _naive_split, oracle_words
+from codecloud.extractor import _KEYWORDS_NEVER_NAMES
 from codecloud.renderer import layout_cloud, text_width
 
 from reference import oracle_frequency, reference_split, tags_of_identifier
@@ -289,3 +290,73 @@ def test_field_declarators_are_exactly_the_names(declarators):
     ids, diagnostics = extract_identifiers(SourceUnit("A.java", source))
     assert [i.qualified_name for i in ids] == ["A"] + [f"A.{name}" for name in names]
     assert diagnostics == []
+
+
+_member_names = st.text(
+    string.ascii_letters + string.digits + "_$", min_size=1, max_size=9
+).filter(lambda name: not name[0].isdigit() and name not in _KEYWORDS_NEVER_NAMES)
+_MEMBER_MODIFIERS = "public private protected static final abstract synchronized transient volatile"
+_separators = st.sampled_from([" ", "  ", "\n", "\n    "])
+_simple_types = st.sampled_from(["int", "long", "String", "Object", "Map", "T"])
+_types = st.tuples(
+    st.lists(st.sampled_from(["java", "util", "a", "b"]), max_size=2),
+    _simple_types,
+    st.integers(min_value=0, max_value=2),
+).map(lambda parts: "".join(p + "." for p in parts[0]) + parts[1] + "[]" * parts[2])
+#: Pieces of a method body: braces, and literals and comments that hold them.
+_BODY_PIECES = st.sampled_from([
+    "x = y;", "{ }", "{ { f(); } }", 'String s = "}";', 's = "{ \\" {";', "char c = '}';",
+    "// } {\n", "/* { } */", 'String t = """\n  } {\n  """;', "if (a) { b(); } else { }",
+])
+_initializers = st.one_of(
+    st.integers(min_value=0, max_value=9999).map(str),
+    st.text("az {};,", max_size=8).map(lambda text: f'"{text}"'),
+    _member_names,
+)
+
+
+@st.composite
+def _common_members(draw):
+    """One member in the shape the header fast path takes: (head, name, tail, kind)."""
+    sep = draw(_separators)
+    head = "".join(modifier + sep for modifier in draw(
+        st.lists(st.sampled_from(_MEMBER_MODIFIERS.split()), max_size=3)
+    ))
+    head += draw(_types) + sep
+    name = draw(_member_names)
+    if draw(st.booleans()):  # a method
+        params = ", ".join(f"{type_} {arg}" for type_, arg in draw(
+            st.lists(st.tuples(_types, _member_names), max_size=3)
+        ))
+        if draw(st.booleans()):
+            tail = ";"
+        else:
+            tail = " {" + sep.join(draw(st.lists(_BODY_PIECES, max_size=4))) + "}"
+        return head, name, f"({params}){tail}", IdentifierKind.METHOD
+    tail = draw(st.sampled_from(["", "[]", " [] []"]))
+    if draw(st.booleans()):
+        tail += sep + "=" + sep + draw(_initializers)
+    return head, name, tail + sep + ";", IdentifierKind.ATTRIBUTE
+
+
+def _type_body(members, prefix):
+    """``class A`` holding ``members``, and each member's (kind, name, line)."""
+    source = "class A {\n"
+    expected = [(IdentifierKind.CLASS, "A", 1)]
+    for head, name, tail, kind in members:
+        source += "    " + prefix + head
+        expected.append((kind, f"A.{name}", source.count("\n") + 1))
+        source += name + tail + "\n"
+    return source + "}\n", expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_common_members(), min_size=1, max_size=20))
+def test_member_header_fast_path_equals_token_parser(members):
+    source, expected = _type_body(members, "")
+    ids, diagnostics = extract_identifiers(SourceUnit("A.java", source))
+    assert [(i.kind, i.qualified_name, i.line) for i in ids] == expected
+    assert diagnostics == []
+    # a comment before a member sends it to the token parser instead
+    commented, _ = _type_body(members, "/**/")
+    assert extract_identifiers(SourceUnit("A.java", commented)) == (ids, diagnostics)

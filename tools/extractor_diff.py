@@ -7,8 +7,10 @@ next to the working tree's copy and runs both on every ``.java`` file under
 each ROOT and on N seeded token soups: random sequences of Java keywords,
 names, punctuation, literals and comments after an opening that leaves a
 class, enum, interface or method body open.  For each source it prints how
-many inputs give different identifiers or diagnostics, followed by the first
-few differences, and it exits with status 1 when any input differs.
+many inputs give different identifiers and how many give different
+diagnostics, followed by the first few differences, and it exits with status
+1 when any input differs.  A ROOT that is not a readable directory ends the
+run with status 2 before REV is loaded.
 """
 
 from __future__ import annotations
@@ -52,12 +54,13 @@ def load_at(rev: str) -> types.ModuleType:
 
 
 def outcome(module: types.ModuleType, path: str, text: str):
-    """Identifiers and diagnostics of one input, or the exception it raised."""
+    """Identifiers and diagnostics of one input; the exception it raised stands for both."""
     unit = module.SourceUnit(path, text)
     try:
         result = module.extract_identifiers(unit)
     except Exception as exc:  # a raising revision is a difference to report
-        return f"raised {exc!r:.200}"
+        raised = f"raised {exc!r:.200}"
+        return raised, raised
     # older revisions return the identifiers and record diagnostics on the unit
     ids, diagnostics = result if isinstance(result, tuple) else (result, unit.diagnostics)
     # list position orders the identifiers, so an older revision's ordinal is not compared
@@ -77,16 +80,19 @@ def soups(count: int, seed: int):
 
 def compare(label: str, inputs, old: types.ModuleType) -> int:
     """Print how many of ``inputs`` (path, text) differ; returns that count."""
-    total = differ = 0
+    total = differ = ids_differ = diagnostics_differ = 0
     for path, text in inputs:
         total += 1
         before, after = outcome(old, path, text), outcome(extractor, path, text)
         if before != after:
             differ += 1
+            ids_differ += before[0] != after[0]
+            diagnostics_differ += before[1] != after[1]
             if differ <= SHOWN:
                 print(f"  {path}: {text[:300]!r}\n    at REV:    {before!r:.600}\n"
                       f"    here:      {after!r:.600}")
-    print(f"{label}: {total} inputs, {differ} differ")
+    print(f"{label}: {total} inputs, {ids_differ} differ in identifiers, "
+          f"{diagnostics_differ} in diagnostics")
     return differ
 
 
@@ -98,10 +104,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="number of token soups (default: 100000)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the soups (default: 1)")
     args = parser.parse_args(argv)
+    try:
+        trees = [(root, extractor.scan_tree(root)) for root in args.roots]
+    except extractor.CorpusError as exc:
+        parser.exit(2, f"extractor_diff: {exc}\n")
     old = load_at(args.rev)
     differ = 0
-    for root in args.roots:
-        units = extractor.scan_tree(root)
+    for root, units in trees:
         differ += compare(root, ((unit.path, unit.text) for unit in units), old)
     inputs = (("soup.java", text) for text in soups(args.soups, args.seed))
     differ += compare(f"soups (seed {args.seed})", inputs, old)
