@@ -604,7 +604,8 @@ class _Extraction:
         while self.pos < len(self.tokens) or self._fill():
             value = self.tokens[self.pos]
             if expect_name and _is_name(value):
-                self._emit(IdentifierKind.ATTRIBUTE, value, scope, self.pos)
+                if value not in _KEYWORDS_NEVER_NAMES:
+                    self._emit(IdentifierKind.ATTRIBUTE, value, scope, self.pos)
                 expect_name = False
             elif value in _OPEN_TO_CLOSE or value == "{":
                 self._skip_balanced()

@@ -662,6 +662,15 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             "class A {\n  public static\n  int[]\n  count\n  [] = 0\n  ;\n}",
             [(IdentifierKind.CLASS, "A", 1), (IdentifierKind.ATTRIBUTE, "A.count", 4)],
         ),
+        # a keyword after a declarator comma names no field, as before ';'
+        (
+            "class A { int a, default; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.a")],
+        ),
+        (
+            "class A { int a = 1, abstract; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.a")],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -675,7 +684,8 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "keyword_field", "interface_default_method", "annotation_element_default",
          "nested_record", "non_ascii_field", "long_literal_initializer",
          "escaped_string_initializer", "array_type_declarators", "qualified_and_array_types",
-         "member_over_several_lines"],
+         "member_over_several_lines", "keyword_after_declarator_comma",
+         "keyword_after_initialized_declarator"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
