@@ -297,10 +297,9 @@ _member_names = st.text(
 ).filter(lambda name: not name[0].isdigit() and name not in _KEYWORDS_NEVER_NAMES)
 _MEMBER_MODIFIERS = "public private protected static final abstract synchronized transient volatile"
 _separators = st.sampled_from([" ", "  ", "\n", "\n    "])
-_simple_types = st.sampled_from(["int", "long", "String", "Object", "Map", "T"])
 _types = st.tuples(
     st.lists(st.sampled_from(["java", "util", "a", "b"]), max_size=2),
-    _simple_types,
+    st.sampled_from(["int", "long", "String", "Object", "Map", "T"]),
     st.integers(min_value=0, max_value=2),
 ).map(lambda parts: "".join(p + "." for p in parts[0]) + parts[1] + "[]" * parts[2])
 #: Pieces of a method body: braces, and literals and comments that hold them.
