@@ -36,6 +36,8 @@ from .extractor import (
     SourceUnit,
     extract_corpus,
     extract_identifiers,
+    extract_units,
+    iter_tree,
     scan_tree,
 )
 from .renderer import RenderConfig, font_size_for, render_html, render_svg
@@ -71,7 +73,9 @@ __all__ = [
     "evaluate",
     "extract_corpus",
     "extract_identifiers",
+    "extract_units",
     "font_size_for",
+    "iter_tree",
     "load_lexicon",
     "oracle_words",
     "render_html",

@@ -11,11 +11,14 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .cloudmodel import (
     CloudKind,
     FilterConfig,
+    TagCloud,
+    apply_short_tag_filter,
     build_cloud,
     build_tags,
     cloud_to_json_dict,
@@ -24,7 +27,7 @@ from .cloudmodel import (
     stats_to_row,
 )
 from .evaluator import evaluate, report_to_csv, report_to_json_dict
-from .extractor import CorpusError, extract_corpus, identifier_to_dict, scan_tree
+from .extractor import CorpusError, Identifier, extract_units, identifier_to_dict, iter_tree
 from .renderer import RenderConfig, render_html, render_svg
 from .stemmer import LexiconError, load_lexicon
 
@@ -144,16 +147,27 @@ def _load_lexicon(args):
     return load_lexicon(exceptions_path=args.exceptions, stopwords_path=args.stopwords)
 
 
-def _load_corpus(args):
-    units = scan_tree(args.root)
-    ids = extract_corpus(units)
-    for unit in units:
-        for diagnostic in unit.diagnostics:
-            print(
-                f"warning: {unit.path}:{diagnostic.line}: {diagnostic.message}",
-                file=sys.stderr,
-            )
-    return ids
+class _Corpus:
+    """The identifiers of a tree, one file at a time, counted as they pass.
+
+    The tree is listed when this is made.  Iterating reads a file, extracts
+    it, prints its warnings and yields its identifiers before it reads the
+    next, in path order, so only the file at hand is held.
+    """
+
+    def __init__(self, root: str):
+        self._units = iter_tree(root)
+        self.count = 0
+
+    def __iter__(self) -> Iterator[Identifier]:
+        for unit, ids in extract_units(self._units):
+            for diagnostic in unit.diagnostics:
+                print(
+                    f"warning: {unit.path}:{diagnostic.line}: {diagnostic.message}",
+                    file=sys.stderr,
+                )
+            self.count += len(ids)
+            yield from ids
 
 
 def _filter_config(args) -> FilterConfig:
@@ -181,12 +195,18 @@ def _corpus_label(root: str) -> str:
 def cmd_cloud(args) -> int:
     lexicon = _load_lexicon(args)
     started = time.perf_counter()
-    ids = _load_corpus(args)
-    if not ids:
+    corpus = _Corpus(args.root)
+    kind = _KIND_NAMES[args.kind]
+    stop_words = FilterConfig(stop_words_enabled=not args.no_stopwords)
+    tags = build_tags(corpus, kind, lexicon, stop_words)
+    if not corpus.count:
         print(f"no identifiers found under {args.root}", file=sys.stderr)
         return EXIT_EMPTY
+    # validated only now, so that a bad --min-tag-len is still reported after
+    # the tree's warnings and the empty check
     cfg = _filter_config(args)
-    cloud = build_cloud(ids, _KIND_NAMES[args.kind], lexicon, cfg, _corpus_label(args.root))
+    tags = apply_short_tag_filter(tags, cfg)
+    cloud = TagCloud(kind, tuple(tags), cfg, _corpus_label(args.root))
     render_cfg = RenderConfig(
         page_width_px=args.page_width,
         min_font_pt=args.min_font,
@@ -206,7 +226,7 @@ def cmd_cloud(args) -> int:
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     _write_output(text, args.out)
     print(
-        f"identifiers={len(ids)} tags={len(cloud.tags)} elapsed_ms={elapsed_ms}",
+        f"identifiers={corpus.count} tags={len(cloud.tags)} elapsed_ms={elapsed_ms}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -215,7 +235,7 @@ def cmd_cloud(args) -> int:
 def cmd_stats(args) -> int:
     lexicon = _load_lexicon(args)
     started = time.perf_counter()
-    ids = _load_corpus(args)
+    ids = list(_Corpus(args.root))
     cfg = FilterConfig(stop_words_enabled=not args.no_stopwords)
     tags = build_tags(ids, CloudKind.ALL, lexicon, cfg)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
@@ -253,7 +273,7 @@ def _format_eval_table(report) -> str:
 
 def cmd_eval(args) -> int:
     lexicon = _load_lexicon(args)
-    ids = _load_corpus(args)
+    ids = list(_Corpus(args.root))
     if not ids:
         print(f"no identifiers found under {args.root}", file=sys.stderr)
         return EXIT_EMPTY
@@ -272,7 +292,7 @@ def cmd_eval(args) -> int:
 
 def cmd_dump_identifiers(args) -> int:
     _load_lexicon(args)  # validates overrides even though the dump ignores them
-    ids = _load_corpus(args)
+    ids = list(_Corpus(args.root))
     text = json.dumps([identifier_to_dict(i) for i in ids], indent=2) + "\n"
     _write_output(text, args.out)
     if not ids:

@@ -9,7 +9,7 @@ one over all identifiers.  Tags are kept in strict alphabetical order.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .extractor import Identifier, IdentifierKind
 from .splitter import split_identifier
@@ -83,17 +83,21 @@ class CloudStats(NamedTuple):
     elapsed_ms: int
 
 
-def _select(ids: list[Identifier], kind: CloudKind) -> list[Identifier]:
+def _select(ids: Iterable[Identifier], kind: CloudKind) -> Iterable[Identifier]:
     if kind is CloudKind.ALL:
         return ids
     wanted = IdentifierKind(kind.value)
-    return [identifier for identifier in ids if identifier.kind is wanted]
+    return (identifier for identifier in ids if identifier.kind is wanted)
 
 
 def build_tags(
-    ids: list[Identifier], kind: CloudKind, lexicon: StemLexicon, cfg: FilterConfig
+    ids: Iterable[Identifier], kind: CloudKind, lexicon: StemLexicon, cfg: FilterConfig
 ) -> list[Tag]:
-    """One alphabetically ordered Tag per distinct stem in the selection."""
+    """One alphabetically ordered Tag per distinct stem in the selection.
+
+    ``ids`` is read once, so it may be a one-shot iterator; only each
+    tag's contributor names are kept.
+    """
     contributors: dict[str, list[str]] = {}
     stem_of: dict[str, str] = {}  # one call's memo, so it always matches ``lexicon``
     for identifier in _select(ids, kind):
@@ -121,13 +125,13 @@ def apply_short_tag_filter(tags: list[Tag], cfg: FilterConfig) -> list[Tag]:
 
 
 def build_cloud(
-    ids: list[Identifier],
+    ids: Iterable[Identifier],
     kind: CloudKind,
     lexicon: StemLexicon,
     cfg: FilterConfig,
     corpus_label: str = "",
 ) -> TagCloud:
-    """Build tags for the selected kind and apply the configured filters."""
+    """Build tags for the selected kind, reading ``ids`` once, and apply the filters."""
     tags = apply_short_tag_filter(build_tags(ids, kind, lexicon, cfg), cfg)
     return TagCloud(kind=kind, tags=tuple(tags), filters=cfg, corpus_label=corpus_label)
 

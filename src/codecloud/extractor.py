@@ -5,12 +5,12 @@ literal whole, and a brace-tracking parser walks the token texts and emits
 one identifier per declaration: the package declaration, every type
 declaration (class, interface, enum, annotation type, record; nested
 included), every field declarator and enum constant, and every method or
-constructor.  The lexer stops after each ';' and '{', so once a member ends
-the parser has used every token lexed.  Where it has, a member of a type body
-in the common shape (ASCII names, dims and dots, then a parameter list, ';'
-or a simple initializer) is emitted from one anchored regex match without
-being tokenized; every other form goes to the token parser, with the same
-result either way.  Method bodies, initializer blocks and brace initializers
+constructor.  The lexer stops after each ';', '{' and '}', so once a
+member ends the parser has used every token lexed.  Where it has, a member
+of a type body in the common shape (ASCII names, dims and dots, then a
+parameter list, ';' or a simple initializer) is emitted from one anchored
+regex match without being tokenized; every other form goes to the token
+parser, with the same result either way.  Method bodies, initializer blocks and brace initializers
 (anonymous class bodies included) are skipped by a character scan that
 counts braces outside comments and literals; only inside parentheses or
 brackets (``f(new T() { })``) are they walked token by token.  An
@@ -24,10 +24,11 @@ makes extraction raise.
 
 from __future__ import annotations
 
+import os
 import re
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 #: Java identifier shape: letter/underscore/dollar start, then letters,
 #: digits, underscores, dollars.  The parser emits only tokens that
@@ -184,7 +185,7 @@ class _Extraction:
     """Single-file parse state: token buffer and cursor plus output accumulators.
 
     The buffer holds each token's text and start offset.  It is lexed on
-    demand, up to and including the next ';' or '{', so a body that is
+    demand, up to and including the next ';', '{' or '}', so a body that is
     skipped as a whole is never tokenized: :meth:`_skip_body` counts its
     braces with :data:`_BODY_RE` instead.  Line numbers are computed from
     offsets only where something is emitted or diagnosed.
@@ -221,7 +222,7 @@ class _Extraction:
     # -- lexer --
 
     def _fill(self) -> bool:
-        """Lex on through the next ';' or '{' or to the end; whether tokens were added."""
+        """Lex on through the next ';', '{' or '}', or to the end; whether it added tokens."""
         count = len(self.tokens)
         for match in _TOKEN_RE.finditer(self.text, self.lexed_to):
             kind = match.lastgroup
@@ -232,7 +233,7 @@ class _Extraction:
             value = match.group(kind)
             self.tokens.append(value)
             self.offsets.append(match.start(kind))
-            if value == ";" or value == "{":
+            if value == ";" or value == "{" or value == "}":
                 self.lexed_to = match.end()
                 break
         else:
@@ -640,51 +641,106 @@ def extract_identifiers(unit: SourceUnit) -> tuple[list[Identifier], list[Diagno
 # --- corpus assembly -----------------------------------------------------
 
 
-def scan_tree(root: str | Path) -> list[SourceUnit]:
-    """Collect every ``.java`` file under ``root``, sorted by path bytes.
+def _list_tree(root: Path) -> list[str]:
+    """Relative POSIX path of every ``.java`` file under ``root``, sorted by bytes.
 
-    Raises :class:`CorpusError` if the root is missing or unreadable; an
-    unreadable individual file becomes an empty unit with a diagnostic.
+    Lists what ``root.rglob("*.java")`` filtered by ``is_file`` lists: a
+    symlinked file is listed, a symlinked directory is not entered, and a
+    directory that cannot be listed for lack of permission is skipped.
+    """
+    found = []
+    pending = [("", os.fspath(root))]
+    while pending:
+        prefix, directory = pending.pop()
+        try:
+            with os.scandir(directory) as listing:
+                entries = list(listing)
+        except PermissionError:
+            continue
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                pending.append((prefix + entry.name + "/", entry.path))
+            elif entry.name.endswith(".java") and (  # a symlink is followed by isfile
+                entry.is_file(follow_symlinks=False) or os.path.isfile(entry.path)
+            ):
+                found.append(prefix + entry.name)
+    found.sort(key=lambda rel: rel.encode("utf-8"))
+    return found
+
+
+def _read_unit(rel: str, path: Path) -> SourceUnit:
+    """The unit of one listed file; an unreadable file becomes an empty unit."""
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        return SourceUnit(rel, "", [Diagnostic(f"unreadable file: {exc}", 0)])
+    text = raw.decode("utf-8", errors="replace").lstrip("\ufeff")
+    unit = SourceUnit(rel, text)
+    if "\ufffd" in text:
+        unit.diagnostics.append(Diagnostic("invalid UTF-8 bytes were replaced", 0))
+    return unit
+
+
+def iter_tree(root: str | Path) -> Iterator[SourceUnit]:
+    """Every ``.java`` file under ``root``, sorted by path bytes, read lazily.
+
+    The tree is listed when this is called, which raises :class:`CorpusError`
+    if the root is missing or unreadable; each file is read only when the
+    iterator reaches it.  An unreadable file becomes an empty unit with a
+    diagnostic.
     """
     root_path = Path(root)
     if not root_path.is_dir():
         raise CorpusError(f"source root is not a readable directory: {root_path}")
     try:
-        paths = [p for p in root_path.rglob("*.java") if p.is_file()]
+        listing = _list_tree(root_path)
     except OSError as exc:
         raise CorpusError(f"cannot scan {root_path}: {exc}") from exc
-    rel_paths = sorted(
-        ((p.relative_to(root_path).as_posix(), p) for p in paths),
-        key=lambda pair: pair[0].encode("utf-8"),
-    )
-    units = []
-    for rel, path in rel_paths:
-        try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            units.append(SourceUnit(rel, "", [Diagnostic(f"unreadable file: {exc}", 0)]))
-            continue
-        text = raw.decode("utf-8", errors="replace").lstrip("\ufeff")
-        unit = SourceUnit(rel, text)
-        if "\ufffd" in text:
-            unit.diagnostics.append(Diagnostic("invalid UTF-8 bytes were replaced", 0))
-        units.append(unit)
-    return units
+    return (_read_unit(rel, root_path / rel) for rel in listing)
+
+
+def scan_tree(root: str | Path) -> list[SourceUnit]:
+    """:func:`iter_tree` read whole into a list."""
+    return list(iter_tree(root))
+
+
+def extract_units(
+    units: Iterable[SourceUnit],
+) -> Iterator[tuple[SourceUnit, list[Identifier]]]:
+    """Extract each unit when it is reached and yield it with its identifiers.
+
+    Each unit's parse diagnostics are appended to ``unit.diagnostics`` before
+    it is yielded.  Package declarations are deduplicated across the units
+    by qualified name, keeping the first occurrence.
+    """
+    return _assemble((unit, extract_identifiers(unit)) for unit in units)
+
+
+def _assemble(extracted) -> Iterator[tuple[SourceUnit, list[Identifier]]]:
+    """:func:`extract_units` over ``(unit, (identifiers, diagnostics))`` pairs."""
+    seen_packages: set[str] = set()
+    for unit, (ids, diagnostics) in extracted:
+        unit.diagnostics.extend(diagnostics)
+        kept = []
+        for identifier in ids:
+            if identifier.kind is IdentifierKind.PACKAGE:
+                if identifier.qualified_name in seen_packages:
+                    continue
+                seen_packages.add(identifier.qualified_name)
+            kept.append(identifier)
+        yield unit, kept
 
 
 def extract_corpus(units: list[SourceUnit], parallel: bool = False) -> list[Identifier]:
-    """Extract identifiers from all units and assemble the corpus list.
+    """Every unit's identifiers from :func:`extract_units`, in path order, as one list.
 
-    Units are processed in-process (across processes only with the opt-in
-    ``parallel=True`` the benchmark harness times) and merged in path order.
-    Each unit's parse diagnostics are appended to ``unit.diagnostics``.
-    Package declarations are deduplicated corpus-wide by qualified name,
-    keeping the first occurrence.
+    With the opt-in ``parallel=True`` that the benchmark harness times, the
+    units are extracted across a process pool instead and then assembled
+    the same way.
     """
     results = None
     if parallel:
         import logging
-        import os
         from concurrent import futures
 
         try:
@@ -695,17 +751,5 @@ def extract_corpus(units: list[SourceUnit], parallel: bool = False) -> list[Iden
             logging.getLogger(__name__).warning(
                 "parallel extraction unavailable (%s); running sequentially", exc
             )
-    if results is None:
-        results = [extract_identifiers(unit) for unit in units]
-
-    corpus: list[Identifier] = []
-    seen_packages: set[str] = set()
-    for unit, (ids, diagnostics) in zip(units, results):
-        unit.diagnostics.extend(diagnostics)
-        for identifier in ids:
-            if identifier.kind is IdentifierKind.PACKAGE:
-                if identifier.qualified_name in seen_packages:
-                    continue
-                seen_packages.add(identifier.qualified_name)
-            corpus.append(identifier)
-    return corpus
+    stream = extract_units(units) if results is None else _assemble(zip(units, results))
+    return [identifier for _, ids in stream for identifier in ids]

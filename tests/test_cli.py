@@ -1,7 +1,9 @@
 import json
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 from codecloud import (
     CloudKind,
@@ -12,6 +14,7 @@ from codecloud import (
     cli,
     cloud_from_json_dict,
     extract_corpus,
+    extractor,
     render_svg,
     scan_tree,
 )
@@ -256,6 +259,48 @@ def test_cli_starts_no_worker_process(big_corpus, monkeypatch):
     root = big_corpus.root
     assert cli.main(["cloud", str(root), "--format", "svg"]) == 0
     assert cli.main(["eval", str(root)]) == 0
+
+
+def test_cloud_holds_one_file_at_a_time(big_corpus, monkeypatch):
+    events = []
+    read_bytes, extract_identifiers = Path.read_bytes, extractor.extract_identifiers
+
+    def logged_read_bytes(self):
+        events.append("read")
+        return read_bytes(self)
+
+    def logged_extract_identifiers(unit):
+        events.append("extract")
+        return extract_identifiers(unit)
+
+    monkeypatch.setattr(Path, "read_bytes", logged_read_bytes)
+    monkeypatch.setattr(extractor, "extract_identifiers", logged_extract_identifiers)
+    assert cli.main(["cloud", str(big_corpus.root), "--format", "csv"]) == 0
+    files = len(list(big_corpus.root.rglob("*.java")))
+    assert events == ["read", "extract"] * files
+
+
+def test_warnings_stream_file_by_file(tmp_path, capsys):
+    (tmp_path / "A.java").write_text("class Alpha {\n    void m(\n}\n")
+    (tmp_path / "B.java").write_text("class Beta { int b; }\n")
+    (tmp_path / "C.java").write_bytes(b"class Gamma { // caf\xe9\n    void f() {}\n}}\n")
+    warnings = [
+        "warning: A.java:2: unbalanced '('",
+        "warning: A.java:2: method declaration ends at end of file",
+        "warning: A.java:1: unbalanced '{'",
+        "warning: C.java:0: invalid UTF-8 bytes were replaced",
+        "warning: C.java:3: unmatched '}' at top level",
+    ]
+    assert cli.main(["cloud", str(tmp_path), "--format", "csv"]) == 0
+    *streamed, summary = capsys.readouterr().err.splitlines()
+    assert streamed == warnings
+    assert re.fullmatch(r"identifiers=6 tags=\d+ elapsed_ms=\d+", summary)
+    assert cli.main(["eval", str(tmp_path)]) == 0
+    assert capsys.readouterr().err.splitlines() == warnings
+    # a bad filter value is reported after the whole stream, as before streaming
+    assert cli.main(["cloud", str(tmp_path), "--min-tag-len", "0"]) == 1
+    error = "codecloud: error: min_tag_length must be >= 1"
+    assert capsys.readouterr().err.splitlines() == [*warnings, error]
 
 
 def test_eval_perfect_on_big_corpus(big_corpus):

@@ -110,6 +110,16 @@ def test_build_cloud_applies_filters(lexicon, drawing_shapes_ids):
     assert cloud.kind is CloudKind.ALL
 
 
+@pytest.mark.parametrize("kind", list(CloudKind))
+def test_build_cloud_takes_a_one_shot_generator(lexicon, drawing_shapes_ids, kind):
+    cfg = FilterConfig(short_tag_enabled=True)
+    expected = build_cloud(drawing_shapes_ids, kind, lexicon, cfg, "shapes")
+    assert expected.tags
+    once = (identifier for identifier in drawing_shapes_ids)
+    assert build_cloud(once, kind, lexicon, cfg, "shapes") == expected
+    assert next(once, None) is None
+
+
 def test_compute_stats_fixture(lexicon, drawing_shapes_ids):
     tags = build_tags(drawing_shapes_ids, CloudKind.ALL, lexicon, FilterConfig())
     stats = compute_stats(drawing_shapes_ids, tags, elapsed_ms=12)

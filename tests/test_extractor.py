@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +64,24 @@ def test_long_field_is_scanned_in_linear_time(monkeypatch):
     ids, diagnostics = extract_identifiers(_unit(source))
     assert [i.simple_name for i in ids] == ["A"] + [f"a{index}" for index in range(count)]
     assert diagnostics == []
+
+
+def test_members_after_a_nested_type_take_the_fast_path(monkeypatch):
+    """The lexer stops after '}', so the member after a nested type starts drained."""
+    taken = 0
+    take_member = _Extraction._take_member
+
+    def counted_take_member(self):
+        nonlocal taken
+        took = take_member(self)
+        taken += took
+        return took
+
+    monkeypatch.setattr(_Extraction, "_take_member", counted_take_member)
+    ids, diagnostics = extract_identifiers(_unit("class A { class B { } int x; int y; }"))
+    assert [i.qualified_name for i in ids] == ["A", "A.B", "A.x", "A.y"]
+    assert diagnostics == []
+    assert taken == 2
 
 
 def test_multi_declarator_with_initializers():
@@ -309,6 +329,48 @@ def test_scan_tree_filters_extension(tmp_path):
 def test_scan_tree_missing_root(tmp_path):
     with pytest.raises(CorpusError):
         scan_tree(tmp_path / "absent")
+
+
+def _rglob_listing(root):
+    """The ``.java`` files ``rglob`` finds: the reference for ``scan_tree``'s own walk."""
+    paths = (p.relative_to(root).as_posix() for p in root.rglob("*.java") if p.is_file())
+    return sorted(paths, key=lambda rel: rel.encode("utf-8"))
+
+
+def test_scan_tree_lists_what_rglob_lists(tmp_path):
+    root, outside = tmp_path / "root", tmp_path / "outside"
+    for directory in (root / "a" / "b", root / ".hidden", root / "Dir.java", outside):
+        directory.mkdir(parents=True)
+    for path in (root / "Top.java", root / "a" / "b" / "Deep.java",
+                 root / ".hidden" / "Hidden.java", root / "Dir.java" / "In.java",
+                 outside / "Out.java"):
+        path.write_text(f"class {path.stem} {{}}")
+    (root / "Notes.txt").write_text("class Notes {}")
+    (root / "Link.java").symlink_to(outside / "Out.java")
+    (root / "linked").symlink_to(outside, target_is_directory=True)
+    (root / "Linked.java").symlink_to(outside, target_is_directory=True)
+    (root / "Broken.java").symlink_to(tmp_path / "absent.java")
+    (root / "Loop.java").symlink_to(root / "Loop.java")
+    listed = [unit.path for unit in scan_tree(root)]
+    assert listed == _rglob_listing(root)
+    assert listed == [".hidden/Hidden.java", "Dir.java/In.java", "Link.java", "Top.java",
+                      "a/b/Deep.java"]
+
+
+def test_scan_tree_skips_a_directory_it_may_not_list(tmp_path, monkeypatch):
+    for rel in ("A.java", "open/B.java", "shut/C.java", "shut/deeper/D.java"):
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text("class X {}")
+    scandir = os.scandir
+
+    def refusing_scandir(path):
+        if Path(path).name == "shut":
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refusing_scandir)
+    listed = [unit.path for unit in scan_tree(tmp_path)]
+    assert listed == _rglob_listing(tmp_path) == ["A.java", "open/B.java"]
 
 
 def test_unreadable_file_becomes_diagnostic(tmp_path, monkeypatch):
