@@ -5,12 +5,12 @@ literal whole, and a brace-tracking parser walks the token texts and emits
 one identifier per declaration: the package declaration, every type
 declaration (class, interface, enum, annotation type, record; nested
 included), every field declarator and enum constant, and every method or
-constructor.  The lexer stops after each ';', '{' and '}', so once a
-member ends the parser has used every token lexed.  Where it has, a member
-of a type body in the common shape (ASCII names, dims and dots, then a
-parameter list, ';' or a simple initializer) is emitted from one anchored
-regex match without being tokenized; every other form goes to the token
-parser, with the same result either way.  Method bodies, initializer blocks and brace initializers
+constructor.  The lexer stops after each ';', '{' and '}', so once a member
+ends the parser has used every token lexed.  Where it has, a member of a type
+body in the common shape (ASCII names, dims and dots, then a parameter list,
+';' or a simple initializer) is emitted from one anchored regex match without
+being tokenized; every other form goes to the token parser, with the same
+result either way.  Method bodies, initializer blocks and brace initializers
 (anonymous class bodies included) are skipped by a character scan that
 counts braces outside comments and literals; only inside parentheses or
 brackets (``f(new T() { })``) are they walked token by token.  An
