@@ -278,7 +278,8 @@ class _Extraction:
         start = self.pos
         opener = self.tokens[start]
         if opener == "{":  # the last token lexed: no lookahead passes a '{'
-            self._skip_body()
+            self.pos += 1
+            self._skip_body(self.offsets[start])
             return
         closer = _OPEN_TO_CLOSE[opener]
         depth = 1
@@ -294,8 +295,8 @@ class _Extraction:
                     return
         self._diag(f"unbalanced {opener!r}", start)
 
-    def _skip_body(self) -> None:
-        """Skip the unlexed body of the '{' under the cursor by counting braces."""
+    def _skip_body(self, open_at: int) -> None:
+        """Skip the unlexed body of the '{' at text offset ``open_at`` by counting braces."""
         depth = 1
         for match in _BODY_RE.finditer(self.text, self.lexed_to):
             kind = match.lastgroup
@@ -305,13 +306,11 @@ class _Extraction:
                 depth -= 1
                 if depth == 0:
                     self.lexed_to = match.end()
-                    self.pos += 1
                     return
             elif kind in _CLOSERS:
                 self._check_closed(match, kind)
         self.lexed_to = len(self.text)
-        self._diag("unbalanced '{'", self.pos)
-        self.pos += 1
+        self.parser_diagnostics.append(Diagnostic("unbalanced '{'", self._line(open_at)))
 
     def _skip_annotation(self) -> None:
         """Skip ``@Name``, ``@pkg.Name``, ``@Name(...)``; cursor on '@'."""
@@ -397,25 +396,18 @@ class _Extraction:
     def _take_member(self) -> bool:
         """Emit the member at ``lexed_to`` if :data:`_MEMBER_RE` matches it whole.
 
-        A method named by a keyword is left to the token parser, which
-        reports it; a ';' field named by one is dropped, as there.
+        A member named by a keyword is left to the token parser.
         """
         match = _MEMBER_RE.match(self.text, self.lexed_to)
-        if match is None:
+        if match is None or match["name"] in _KEYWORDS_NEVER_NAMES:
             return False
-        name, params, init = match.group("name", "params", "init")
-        keyword = name in _KEYWORDS_NEVER_NAMES
-        if params is not None and keyword:
-            return False
-        if init is not None or not keyword:
-            kind = IdentifierKind.ATTRIBUTE if params is None else IdentifierKind.METHOD
-            line = self._line(match.start("name"))
-            self.out.append(Identifier(kind, name, self.bodies[-1][0] + name, self.path, line))
+        name = match["name"]
+        kind = IdentifierKind.ATTRIBUTE if match["params"] is None else IdentifierKind.METHOD
+        line = self._line(match.start("name"))
+        self.out.append(Identifier(kind, name, self.bodies[-1][0] + name, self.path, line))
         self.lexed_to = match.end()
         if match.start("body") >= 0:
-            self.tokens.append("{")
-            self.offsets.append(match.start("body"))
-            self._skip_body()
+            self._skip_body(match.start("body"))
         return True
 
     def _parse_package(self) -> None:
@@ -646,7 +638,8 @@ def _list_tree(root: Path) -> list[str]:
 
     Lists what ``root.rglob("*.java")`` filtered by ``is_file`` lists: a
     symlinked file is listed, a symlinked directory is not entered, and a
-    directory that cannot be listed for lack of permission is skipped.
+    subdirectory that cannot be listed for lack of permission is skipped;
+    the root's own ``OSError`` is raised.
     """
     found = []
     pending = [("", os.fspath(root))]
@@ -656,6 +649,8 @@ def _list_tree(root: Path) -> list[str]:
             with os.scandir(directory) as listing:
                 entries = list(listing)
         except PermissionError:
+            if not prefix:
+                raise
             continue
         for entry in entries:
             if entry.is_dir(follow_symlinks=False):
@@ -664,7 +659,7 @@ def _list_tree(root: Path) -> list[str]:
                 entry.is_file(follow_symlinks=False) or os.path.isfile(entry.path)
             ):
                 found.append(prefix + entry.name)
-    found.sort(key=lambda rel: rel.encode("utf-8"))
+    found.sort(key=os.fsencode)
     return found
 
 
@@ -690,12 +685,10 @@ def iter_tree(root: str | Path) -> Iterator[SourceUnit]:
     diagnostic.
     """
     root_path = Path(root)
-    if not root_path.is_dir():
-        raise CorpusError(f"source root is not a readable directory: {root_path}")
     try:
         listing = _list_tree(root_path)
     except OSError as exc:
-        raise CorpusError(f"cannot scan {root_path}: {exc}") from exc
+        raise CorpusError(f"source root is not a readable directory: {root_path}") from exc
     return (_read_unit(rel, root_path / rel) for rel in listing)
 
 

@@ -85,18 +85,17 @@ def font_size_for(weight: int, min_weight: int, max_weight: int, cfg: RenderConf
 
 
 class PlacedTag(NamedTuple):
-    """One laid-out tag: x offset, row index, font size, and label texts."""
+    """One laid-out tag: x offset within its row, font size, and label texts."""
 
     label: str
     freq_label: str | None
     x: float
-    row: int
     font_size: float
     label_width: float
 
 
-def layout_cloud(cloud: TagCloud, cfg: RenderConfig) -> tuple[list[PlacedTag], list[float]]:
-    """Place tags into rows; returns the placements and per-row font maxima.
+def layout_cloud(cloud: TagCloud, cfg: RenderConfig) -> list[list[PlacedTag]]:
+    """Place tags into rows; returns the rows top to bottom, each left to right.
 
     A single tag wider than the page gets its own row rather than being
     truncated.
@@ -106,10 +105,8 @@ def layout_cloud(cloud: TagCloud, cfg: RenderConfig) -> tuple[list[PlacedTag], l
     max_weight = max(weights) if weights else 1
     available = cfg.page_width_px - 2 * _PAGE_PAD
 
-    placed: list[PlacedTag] = []
-    row_heights: list[float] = []
+    rows: list[list[PlacedTag]] = []
     x = 0.0
-    row = -1
     for tag in cloud.tags:
         size = font_size_for(tag.weight, min_weight, max_weight, cfg)
         label = tag.stem[:1].upper() + tag.stem[1:] if cfg.title_case else tag.stem
@@ -120,40 +117,26 @@ def layout_cloud(cloud: TagCloud, cfg: RenderConfig) -> tuple[list[PlacedTag], l
         if freq_label is not None:
             width += space + text_width(freq_label, size)
         gap = 2 * space
-        start_new_row = row < 0 or (x > 0.0 and x + gap + width > available)
-        if start_new_row:
-            row += 1
-            row_heights.append(size)
+        if not rows or (x > 0.0 and x + gap + width > available):
+            rows.append([])
             x = 0.0
         else:
             x += gap
-            row_heights[row] = max(row_heights[row], size)
-        placed.append(PlacedTag(label, freq_label, x, row, size, label_width))
+        rows[-1].append(PlacedTag(label, freq_label, x, size, label_width))
         x += width
-    return placed, row_heights
-
-
-def _row_baselines(row_heights: list[float]) -> list[float]:
-    baselines = []
-    y = _PAGE_PAD
-    for height in row_heights:
-        baselines.append(y + _ASCENT * height)
-        y += height + _LINE_GAP
-    return baselines
-
-
-def _total_height(row_heights: list[float]) -> float:
-    height = 2 * _PAGE_PAD + sum(row_heights)
-    if row_heights:
-        height += _LINE_GAP * (len(row_heights) - 1)
-    return height
+    return rows
 
 
 def render_svg(cloud: TagCloud, cfg: RenderConfig) -> str:
-    """Render the cloud as a standalone SVG 1.1 document."""
-    placed, row_heights = layout_cloud(cloud, cfg)
-    baselines = _row_baselines(row_heights)
-    height = _total_height(row_heights)
+    """Render the cloud as a standalone SVG 1.1 document.
+
+    Each row is as tall as its largest font size.
+    """
+    rows = layout_cloud(cloud, cfg)
+    heights = [max(item.font_size for item in row) for row in rows]
+    height = 2 * _PAGE_PAD + sum(heights)
+    if rows:
+        height += _LINE_GAP * (len(rows) - 1)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -162,33 +145,31 @@ def render_svg(cloud: TagCloud, cfg: RenderConfig) -> str:
         f'<title>{escape(cloud.corpus_label or "tag cloud", quote=False)}</title>',
         f'<rect width="100%" height="100%" fill="{_BACKGROUND}"/>',
     ]
-    for item in placed:
-        x = _PAGE_PAD + item.x
-        y = baselines[item.row]
-        style = (
-            f'font-family="Helvetica, Arial, sans-serif" font-size="{item.font_size:.2f}"'
-        )
-        lines.append(
-            f'<text x="{x:.2f}" y="{y:.2f}" {style} '
-            f'fill="{_LABEL_COLOR}">{escape(item.label, quote=False)}</text>'
-        )
-        if item.freq_label is not None:
-            freq_x = x + item.label_width + text_width(" ", item.font_size)
-            lines.append(
-                f'<text x="{freq_x:.2f}" y="{y:.2f}" {style} '
-                f'fill="{_FREQ_COLOR}">{escape(item.freq_label, quote=False)}</text>'
+    top = _PAGE_PAD
+    for row, row_height in zip(rows, heights):
+        y = top + _ASCENT * row_height
+        top += row_height + _LINE_GAP
+        for item in row:
+            x = _PAGE_PAD + item.x
+            style = (
+                f'font-family="Helvetica, Arial, sans-serif" font-size="{item.font_size:.2f}"'
             )
+            lines.append(
+                f'<text x="{x:.2f}" y="{y:.2f}" {style} '
+                f'fill="{_LABEL_COLOR}">{escape(item.label, quote=False)}</text>'
+            )
+            if item.freq_label is not None:
+                freq_x = x + item.label_width + text_width(" ", item.font_size)
+                lines.append(
+                    f'<text x="{freq_x:.2f}" y="{y:.2f}" {style} '
+                    f'fill="{_FREQ_COLOR}">{escape(item.freq_label, quote=False)}</text>'
+                )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
 def render_html(cloud: TagCloud, cfg: RenderConfig) -> str:
     """Render the cloud as a static HTML document (inline styles, no scripts)."""
-    placed, row_heights = layout_cloud(cloud, cfg)
-    rows: list[list[PlacedTag]] = [[] for _ in row_heights]
-    for item in placed:
-        rows[item.row].append(item)
-
     title = escape(cloud.corpus_label or "tag cloud", quote=False)
     lines = [
         "<!DOCTYPE html>",
@@ -202,11 +183,11 @@ def render_html(cloud: TagCloud, cfg: RenderConfig) -> str:
         f'<div style="width:{cfg.page_width_px}px;padding:{_PAGE_PAD:.0f}px;'
         'box-sizing:border-box;">',
     ]
-    for row_items in rows:
+    for row in layout_cloud(cloud, cfg):
         lines.append(
             f'<div style="margin-bottom:{_LINE_GAP:.2f}px;white-space:nowrap;">'
         )
-        for item in row_items:
+        for item in row:
             span = (
                 f'<span style="font-size:{item.font_size:.2f}pt;'
                 f'color:{_LABEL_COLOR};">{escape(item.label, quote=False)}</span>'

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -84,6 +85,33 @@ def test_cloud_empty_directory(tmp_path):
 def test_cloud_missing_root(tmp_path):
     result = run_cli("cloud", tmp_path / "nope")
     assert result.returncode == 2
+
+
+def test_cloud_root_that_cannot_be_listed_is_an_io_error(tmp_path, monkeypatch, capsys):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "A.java").write_text("class A {}")
+    (tmp_path / "File.java").write_text("class F {}")
+    scandir = os.scandir
+
+    def refusing_scandir(path):
+        if Path(path).name == "src":
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refusing_scandir)
+    for root in (tmp_path / "nope", tmp_path / "File.java", tmp_path / "src"):
+        assert cli.main(["cloud", str(root)]) == 2
+        error = capsys.readouterr().err
+        assert error == f"codecloud: error: source root is not a readable directory: {root}\n"
+
+
+def test_cloud_lists_a_file_name_that_is_not_utf8(tmp_path):
+    (tmp_path / os.fsdecode(b"\xffA.java")).write_text("class Alpha { int one; }")
+    (tmp_path / "B.java").write_text("class Beta { int two; }")
+    result = run_cli("cloud", tmp_path, "--format", "csv")
+    assert result.returncode == 0
+    assert re.fullmatch(r"identifiers=4 tags=\d+ elapsed_ms=\d+\n", result.stderr)
+    assert {"alpha,1", "beta,1", "one,1", "two,1"} <= set(result.stdout.splitlines())
 
 
 def test_usage_error_is_exit_one(drawing_shapes_dir):

@@ -523,6 +523,11 @@ def test_json_dump_shape(drawing_shapes_ids):
         ("enum E {\n class F {}\n}", [("unexpected 'class' in enum constants", 2)]),
         # a method named by a keyword is left to the token parser, which reports it
         ("class A {\n void if();\n}", [("stray '(' in type body", 2)]),
+        # a '}' ends a type header that has no body
+        (
+            "class A { class B }\n int y; }",
+            [("unexpected 'int' at top level", 2), ("unmatched '}' at top level", 2)],
+        ),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -530,6 +535,14 @@ def test_diagnostic_messages_and_lines(source, expected):
     _, diagnostics = extract_identifiers(unit)
     assert [(d.message, d.line) for d in diagnostics] == expected
     assert unit == _unit(source)  # extraction leaves its input as it was
+
+
+def test_type_header_ended_by_a_brace_keeps_its_name():
+    ids, _ = extract_identifiers(_unit("class A { class B }\n int y; }"))
+    assert [(i.kind, i.qualified_name) for i in ids] == [
+        (IdentifierKind.CLASS, "A"),
+        (IdentifierKind.CLASS, "A.B"),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -733,6 +746,18 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             "class A { int a = 1, abstract; }",
             [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.a")],
         ),
+        # a type header ended by ';' opens no body
+        (
+            "class A;\nclass B { int x; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.CLASS, "B"),
+             (IdentifierKind.ATTRIBUTE, "B.x")],
+        ),
+        # annotated dims after a parameter list (JLS 8.4)
+        (
+            "class A { int m() @Ann [] ; int n; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.METHOD, "A.m"),
+             (IdentifierKind.ATTRIBUTE, "A.n")],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -747,7 +772,8 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "nested_record", "non_ascii_field", "long_literal_initializer",
          "escaped_string_initializer", "array_type_declarators", "qualified_and_array_types",
          "member_over_several_lines", "keyword_after_declarator_comma",
-         "keyword_after_initialized_declarator"],
+         "keyword_after_initialized_declarator", "type_header_ended_by_semicolon",
+         "annotated_dims_after_params"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too

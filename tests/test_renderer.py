@@ -127,26 +127,43 @@ def test_svg_dimensions_and_larger_weight_larger_font():
 def test_rows_wrap_at_page_width():
     tags = [Tag(f"tag{c}", 5) for c in "abcdefghijklmnopqrstuvwxyz"]
     cfg = RenderConfig(page_width_px=200)
-    placed, row_heights = layout_cloud(_cloud(tags), cfg)
-    assert len(row_heights) > 1
+    rows = layout_cloud(_cloud(tags), cfg)
+    assert len(rows) > 1
+    assert [item.label for row in rows for item in row] == [tag.stem for tag in tags]
     available = cfg.page_width_px - 20  # page padding on both sides
-    rows: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for item in placed:
+    for row in rows:
+        item = row[-1]
         width = item.label_width
         if item.freq_label:
             width += text_width(" " + item.freq_label, item.font_size)
-        rows[item.row] = item.x + width
-        counts[item.row] = counts.get(item.row, 0) + 1
-    for row, extent in rows.items():
-        assert extent <= available or counts[row] == 1
+        assert item.x + width <= available or len(row) == 1
 
 
 def test_oversized_tag_gets_own_row():
     cfg = RenderConfig(page_width_px=60)
-    placed, _ = layout_cloud(_cloud([Tag("extraordinarily", 1), Tag("tiny", 1)]), cfg)
-    assert placed[0].row == 0
-    assert placed[1].row == 1
+    rows = layout_cloud(_cloud([Tag("extraordinarily", 1), Tag("tiny", 1)]), cfg)
+    assert [[item.label for item in row] for row in rows] == [["extraordinarily"], ["tiny"]]
+
+
+def test_svg_geometry_follows_rows():
+    # 10 px page padding, 8 px between rows, each row as tall as its largest
+    # font, and a row's baseline 0.8 of that height below the row's top
+    tags = [Tag("alpha", 1), Tag("beta", 9), Tag("gamma", 3), Tag("delta", 5)]
+    svg = render_svg(_cloud(tags), RenderConfig(page_width_px=200))
+    rows = []
+    for text in _texts(svg):
+        if text.get("x") == "10.00":  # a row starts at the left padding
+            rows.append([])
+        rows[-1].append(text)
+    assert [[t.text for t in row] for row in rows] == [["alpha", "beta"], ["gamma", "delta"]]
+    heights = [max(float(t.get("font-size")) for t in row) for row in rows]
+    assert heights == [40.0, 25.0]
+    expected_y = []
+    for index, (row, height) in enumerate(zip(rows, heights)):
+        top = 10.0 + sum(heights[:index]) + 8.0 * index
+        expected_y += [f"{top + 0.8 * height:.2f}"] * len(row)
+    assert [t.get("y") for row in rows for t in row] == expected_y
+    assert ET.fromstring(svg).get("height") == f"{20.0 + sum(heights) + 8.0 * (len(rows) - 1):.2f}"
 
 
 def test_html_empty_cloud_is_valid_document():
