@@ -21,13 +21,7 @@ from .cloudmodel import (
     compute_stats,
     stats_to_csv,
 )
-from .evaluator import (
-    CorpusMismatchError,
-    EvalReport,
-    EvalRow,
-    evaluate,
-    oracle_words,
-)
+from .evaluator import EvalReport, EvalRow, evaluate, oracle_words, score, tally_oracle
 from .extractor import (
     CorpusError,
     Diagnostic,
@@ -50,7 +44,6 @@ __all__ = [
     "CloudKind",
     "CloudStats",
     "CorpusError",
-    "CorpusMismatchError",
     "Diagnostic",
     "EvalReport",
     "EvalRow",
@@ -81,7 +74,9 @@ __all__ = [
     "render_html",
     "render_svg",
     "scan_tree",
+    "score",
     "split_identifier",
     "stats_to_csv",
     "stem_word",
+    "tally_oracle",
 ]

@@ -10,8 +10,11 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
+from contextlib import nullcontext
+from itertools import chain
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import __version__
 from .cloudmodel import (
@@ -26,7 +29,7 @@ from .cloudmodel import (
     stats_to_csv,
     stats_to_row,
 )
-from .evaluator import evaluate, report_to_csv, report_to_json_dict
+from .evaluator import report_to_csv, report_to_json_dict, score, tally_oracle
 from .extractor import CorpusError, Identifier, extract_units, identifier_to_dict, iter_tree
 from .renderer import RenderConfig, render_html, render_svg
 from .stemmer import LexiconError, load_lexicon
@@ -36,6 +39,10 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_EMPTY = 3
 EXIT_IMPERFECT = 4
+
+#: Characters gathered into one write; with ``PYTHONUNBUFFERED`` set, each
+#: write to standard output is a system call.
+_WRITE_BATCH = 1 << 16
 
 _KIND_NAMES = {kind.name.lower(): kind for kind in CloudKind}
 
@@ -180,11 +187,31 @@ def _filter_config(args) -> FilterConfig:
     )
 
 
-def _write_output(text: str, out: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+def _write_output(chunks: Iterable[str], out: str) -> None:
+    """Write ``chunks`` to ``out`` (``-`` is standard output), about 64 KB a write.
+
+    ``out`` is opened only once the first write is joined, so warnings the
+    chunks print before then still come first when opening it fails.
+    """
+    batches = _batched(chunks)
+    first = next(batches)
+    with nullcontext(sys.stdout) if out == "-" else open(out, "w", encoding="utf-8") as stream:
+        stream.write(first)
+        stream.writelines(batches)
+
+
+def _batched(chunks: Iterable[str]) -> Iterator[str]:
+    """``chunks`` joined into strings of about ``_WRITE_BATCH`` characters, at least one."""
+    pending: list[str] = []
+    size = 0
+    for chunk in chunks:
+        pending.append(chunk)
+        size += len(chunk)
+        if size >= _WRITE_BATCH:
+            yield "".join(pending)
+            pending.clear()
+            size = 0
+    yield "".join(pending)
 
 
 def _corpus_label(root: str) -> str:
@@ -224,7 +251,7 @@ def cmd_cloud(args) -> int:
         lines.extend(f"{tag.stem},{tag.weight}" for tag in cloud.tags)
         text = "\n".join(lines) + "\n"
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    _write_output(text, args.out)
+    _write_output([text], args.out)
     print(
         f"identifiers={corpus.count} tags={len(cloud.tags)} elapsed_ms={elapsed_ms}",
         file=sys.stderr,
@@ -232,14 +259,22 @@ def cmd_cloud(args) -> int:
     return EXIT_OK
 
 
+def _counted(ids: Iterable[Identifier], kind_counts: Counter) -> Iterator[Identifier]:
+    """Yield ``ids``, counting each one's kind in ``kind_counts`` as it passes."""
+    for identifier in ids:
+        kind_counts[identifier.kind] += 1
+        yield identifier
+
+
 def cmd_stats(args) -> int:
     lexicon = _load_lexicon(args)
     started = time.perf_counter()
-    ids = list(_Corpus(args.root))
+    corpus = _Corpus(args.root)
+    kind_counts: Counter = Counter()
     cfg = FilterConfig(stop_words_enabled=not args.no_stopwords)
-    tags = build_tags(ids, CloudKind.ALL, lexicon, cfg)
+    tags = build_tags(_counted(corpus, kind_counts), CloudKind.ALL, lexicon, cfg)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    stats = compute_stats(ids, tags, elapsed_ms)
+    stats = compute_stats(kind_counts, tags, elapsed_ms)
     label = _corpus_label(args.root)
     row = stats_to_row(stats, label)
     if args.format == "csv":
@@ -251,8 +286,8 @@ def cmd_stats(args) -> int:
         header = "  ".join(f"{name:>{widths[name]}}" for name in row)
         values = "  ".join(f"{value!s:>{widths[name]}}" for name, value in row.items())
         text = header + "\n" + values + "\n"
-    _write_output(text, args.out)
-    if not ids:
+    _write_output([text], args.out)
+    if not corpus.count:
         print(f"no identifiers found under {args.root}", file=sys.stderr)
         return EXIT_EMPTY
     return EXIT_OK
@@ -273,29 +308,41 @@ def _format_eval_table(report) -> str:
 
 def cmd_eval(args) -> int:
     lexicon = _load_lexicon(args)
-    ids = list(_Corpus(args.root))
-    if not ids:
+    corpus = _Corpus(args.root)
+    cfg = FilterConfig(stop_words_enabled=not args.no_stopwords)
+    tally: dict[str, list[str]] = {}
+    ids = tally_oracle(corpus, tally, lexicon, CloudKind.ALL, cfg.stop_words_enabled)
+    cloud = build_cloud(ids, CloudKind.ALL, lexicon, cfg, _corpus_label(args.root))
+    if not corpus.count:
         print(f"no identifiers found under {args.root}", file=sys.stderr)
         return EXIT_EMPTY
-    cfg = FilterConfig(stop_words_enabled=not args.no_stopwords)
-    cloud = build_cloud(ids, CloudKind.ALL, lexicon, cfg, _corpus_label(args.root))
-    report = evaluate(cloud, ids, lexicon)
+    report = score(cloud, tally)
     if args.format == "csv":
-        text = report_to_csv(report)
+        chunks = [report_to_csv(report)]
     elif args.format == "json":
-        text = json.dumps(report_to_json_dict(report), indent=2, sort_keys=True) + "\n"
+        # the bytes of json.dumps(..., indent=2, sort_keys=True), a piece at a time
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        chunks = chain(encoder.iterencode(report_to_json_dict(report)), ["\n"])
     else:
-        text = _format_eval_table(report)
-    _write_output(text, args.out)
+        chunks = [_format_eval_table(report)]
+    _write_output(chunks, args.out)
     return EXIT_OK if report.all_perfect else EXIT_IMPERFECT
+
+
+def _dump_chunks(ids: Iterable[Identifier]) -> Iterator[str]:
+    """``json.dumps`` of the identifiers' dicts with ``indent=2``, one item at a time."""
+    separator = "[\n  "
+    for i in ids:
+        yield separator + json.dumps(identifier_to_dict(i), indent=2).replace("\n", "\n  ")
+        separator = ",\n  "
+    yield "\n]\n" if separator == ",\n  " else "[]\n"
 
 
 def cmd_dump_identifiers(args) -> int:
     _load_lexicon(args)  # validates overrides even though the dump ignores them
-    ids = list(_Corpus(args.root))
-    text = json.dumps([identifier_to_dict(i) for i in ids], indent=2) + "\n"
-    _write_output(text, args.out)
-    if not ids:
+    corpus = _Corpus(args.root)
+    _write_output(_dump_chunks(corpus), args.out)
+    if not corpus.count:
         print(f"no identifiers found under {args.root}", file=sys.stderr)
         return EXIT_EMPTY
     return EXIT_OK

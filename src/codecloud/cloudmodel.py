@@ -9,7 +9,7 @@ one over all identifiers.  Tags are kept in strict alphabetical order.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .extractor import Identifier, IdentifierKind
 from .splitter import split_identifier
@@ -136,20 +136,21 @@ def build_cloud(
     return TagCloud(kind=kind, tags=tuple(tags), filters=cfg, corpus_label=corpus_label)
 
 
-def compute_stats(ids: list[Identifier], tags: list[Tag], elapsed_ms: int) -> CloudStats:
+def compute_stats(
+    kind_counts: Mapping[IdentifierKind, int], tags: list[Tag], elapsed_ms: int
+) -> CloudStats:
     """Per-kind identifier counts plus the distinct tag count.
 
-    ``tags`` must be built over all identifiers with no short-tag filter.
+    ``kind_counts`` maps a kind to its number of identifiers, as a
+    ``Counter`` gathers them while the stream passes; ``tags`` must be built
+    over all identifiers with no short-tag filter.
     """
-    by_kind = {kind: 0 for kind in IdentifierKind}
-    for identifier in ids:
-        by_kind[identifier.kind] += 1
     return CloudStats(
-        packages=by_kind[IdentifierKind.PACKAGE],
-        classes=by_kind[IdentifierKind.CLASS],
-        attributes=by_kind[IdentifierKind.ATTRIBUTE],
-        methods=by_kind[IdentifierKind.METHOD],
-        identifiers=len(ids),
+        packages=kind_counts.get(IdentifierKind.PACKAGE, 0),
+        classes=kind_counts.get(IdentifierKind.CLASS, 0),
+        attributes=kind_counts.get(IdentifierKind.ATTRIBUTE, 0),
+        methods=kind_counts.get(IdentifierKind.METHOD, 0),
+        identifiers=sum(kind_counts.values()),
         tags=len(tags),
         elapsed_ms=elapsed_ms,
     )

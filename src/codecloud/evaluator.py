@@ -4,10 +4,16 @@ The oracle is a second, deliberately naive implementation of the
 split-and-stem pipeline: regex substitutions insert word boundaries and a
 straight loop interprets the same lexicon data.  It shares nothing with
 the production code path except the lexicon data, so agreement between the
-two is evidence rather than tautology.  Each cloud tag gets precision, recall,
-and F-measure computed from its cloud weight and the oracle's count of
-identifiers containing the tag; an oracle stem the cloud lacks gets a row
-with cloud frequency 0, whose recall of 0 fails the check.
+two is evidence rather than tautology.
+
+Evaluation is two steps.  :func:`tally_oracle` passes the identifiers on
+while it records, for each oracle stem, the qualified names of the
+identifiers containing it; it splits their names a bounded batch at a time,
+so the corpus is read once and never held.  :func:`score` then gives each
+cloud tag precision, recall and F-measure from its weight, the oracle's
+count and how many of its contributors the oracle names too, so a tag with
+the right weight but the wrong contributors fails.  An oracle stem the cloud
+lacks gets a row with cloud frequency 0, whose recall of 0 fails the check.
 """
 
 from __future__ import annotations
@@ -15,23 +21,23 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
-from itertools import chain
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
-from .cloudmodel import TagCloud, _select
+from .cloudmodel import CloudKind, TagCloud, _select
 from .extractor import Identifier
 from .stemmer import DETACHMENT_RULES, StemLexicon
-
-
-class CorpusMismatchError(ValueError):
-    """A contributor of the cloud is not an identifier of the given corpus."""
 
 
 # --- the naive reference pipeline ---------------------------------------
 
 _ACRONYM_BOUNDARY = re.compile(r"(?<=[A-Z])(?=[A-Z][a-z])")
 _CASE_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
-_NON_LETTER = re.compile(r"[^A-Za-z]+")
+#: Spares ``\n``, which joins the names of a batch.
+_NON_LETTER = re.compile(r"[^A-Za-z\n]+")
+
+#: Names split by one run of the three regex passes.
+_BATCH = 256
 
 
 def _ascii_fold(name: str) -> str:
@@ -61,10 +67,23 @@ def _ascii_fold(name: str) -> str:
     return "".join(out)
 
 
-def _naive_split(name: str) -> list[str]:
-    spaced = _ACRONYM_BOUNDARY.sub(" ", _ascii_fold(name))
+def _spaced(folded: str) -> str:
+    """Lowercase words separated by spaces, line for line, from ASCII-folded text."""
+    spaced = _ACRONYM_BOUNDARY.sub(" ", folded)
     spaced = _CASE_BOUNDARY.sub(" ", spaced)
-    return _NON_LETTER.sub(" ", spaced).lower().split()
+    return _NON_LETTER.sub(" ", spaced).lower()
+
+
+def _naive_split(name: str) -> list[str]:
+    return _spaced(_ascii_fold(name)).split()
+
+
+def _split_batch(names: list[str]) -> list[list[str]]:
+    """:func:`_naive_split` of each name, by one run of the passes over them all."""
+    joined = "\n".join(map(_ascii_fold, names))
+    if joined.count("\n") != len(names) - 1:  # no names, or one holds the joiner
+        return [_naive_split(name) for name in names]
+    return [line.split() for line in _spaced(joined).split("\n")]
 
 
 def _naive_stem(word: str, lexicon: StemLexicon) -> str:
@@ -85,15 +104,15 @@ def _naive_stem(word: str, lexicon: StemLexicon) -> str:
 
 def oracle_words(name: str, lexicon: StemLexicon, stop_words_enabled: bool = True) -> set[str]:
     """Stem set of one identifier name, via the naive reference pipeline."""
-    return _oracle_stems(name, lexicon, stop_words_enabled, {})
+    return _oracle_stems(_naive_split(name), lexicon, stop_words_enabled, {})
 
 
 def _oracle_stems(
-    name: str, lexicon: StemLexicon, stop_words_enabled: bool, stem_of: dict[str, str]
+    words: list[str], lexicon: StemLexicon, stop_words_enabled: bool, stem_of: dict[str, str]
 ) -> set[str]:
-    """:func:`oracle_words` through ``stem_of``, the caller's word -> stem memo."""
+    """Stem set of one name's words through ``stem_of``, the caller's word -> stem memo."""
     stems = set()
-    for word in _naive_split(name):
+    for word in words:
         stem = stem_of.get(word)
         if stem is None:
             stem = stem_of[word] = _naive_stem(word, lexicon)
@@ -101,6 +120,32 @@ def _oracle_stems(
     if stop_words_enabled:
         stems -= lexicon.stop_words
     return stems
+
+
+def tally_oracle(
+    ids: Iterable[Identifier],
+    tally: dict[str, list[str]],
+    lexicon: StemLexicon,
+    kind: CloudKind = CloudKind.ALL,
+    stop_words_enabled: bool = True,
+) -> Iterator[Identifier]:
+    """Yield every identifier of ``ids`` once ``tally`` holds it.
+
+    ``ids`` is read once.  For each oracle stem, ``tally`` gets the qualified
+    name of every identifier of ``kind`` that contains it, one entry per
+    identifier, so overloads repeat a name and the list's length is the
+    oracle frequency.  Names are split a batch at a time; only the batch at
+    hand is held.
+    """
+    stem_of: dict[str, str] = {}  # one call's memo, so it always matches ``lexicon``
+    ids = iter(ids)
+    while batch := list(islice(ids, _BATCH)):
+        selected = list(_select(batch, kind))
+        words = _split_batch([identifier.simple_name for identifier in selected])
+        for identifier, split in zip(selected, words):
+            for stem in _oracle_stems(split, lexicon, stop_words_enabled, stem_of):
+                tally.setdefault(stem, []).append(identifier.qualified_name)
+        yield from batch
 
 
 # --- metrics -------------------------------------------------------------
@@ -119,9 +164,15 @@ class EvalRow(NamedTuple):
         return self.precision == 1.0 and self.recall == 1.0 and self.f_measure == 1.0
 
     @classmethod
-    def from_frequencies(cls, stem: str, cloud_frequency: int, oracle_frequency: int) -> EvalRow:
-        """Score one tag: correct counts are modeled as min(cloud, oracle)."""
-        correct = min(cloud_frequency, oracle_frequency)
+    def from_frequencies(
+        cls, stem: str, cloud_frequency: int, oracle_frequency: int, shared: int | None = None
+    ) -> EvalRow:
+        """Score one tag: correct counts are modeled as min(cloud, shared).
+
+        ``shared`` is how many of the oracle's identifiers the tag names as
+        contributors; by default, all of them.
+        """
+        correct = min(cloud_frequency, oracle_frequency if shared is None else shared)
         if cloud_frequency > 0:
             precision = correct / cloud_frequency
         else:
@@ -146,38 +197,42 @@ class EvalReport(NamedTuple):
         return all(row.perfect for row in self.rows)
 
 
-def evaluate(cloud: TagCloud, ids: list[Identifier], lexicon: StemLexicon) -> EvalReport:
-    """Score every cloud tag against the oracle frequency.
+def _shared(contributors: tuple[str, ...], names: list[str]) -> int:
+    """Size of the multiset intersection of a tag's contributors and the oracle's names."""
+    if list(contributors) == names:  # a cloud built from the same stream, in its order
+        return len(names)
+    return sum((Counter(contributors) & Counter(names)).values())
 
-    The cloud must have been built from ``ids`` (checked through its
-    contributors' qualified names) and without a short-tag filter, so that
-    every tag is covered.  A kind-restricted cloud is scored against the oracle
-    over that kind's identifiers.  Stems the oracle finds but the cloud
-    lacks get a row with cloud frequency 0; rows are in stem order.
+
+def score(cloud: TagCloud, tally: dict[str, list[str]]) -> EvalReport:
+    """Score every cloud tag against ``tally``, filled by :func:`tally_oracle`.
+
+    The tally must cover the cloud's kind with its stop-word setting, and
+    the cloud must have no short-tag filter, so that every tag is covered.
+    Stems the oracle finds but the cloud lacks get a row with cloud
+    frequency 0; rows are in stem order.
     """
-    known = {identifier.qualified_name for identifier in ids}
+    rows = []
     for tag in cloud.tags:
-        for name in tag.contributors:
-            if name not in known:
-                raise CorpusMismatchError(
-                    f"contributor {name!r} of tag {tag.stem!r} is not part of the given corpus"
-                )
-
-    stop_words_enabled = cloud.filters.stop_words_enabled
-    stem_of: dict[str, str] = {}
-    counts = Counter(
-        chain.from_iterable(
-            _oracle_stems(identifier.simple_name, lexicon, stop_words_enabled, stem_of)
-            for identifier in _select(ids, cloud.kind)
-        )
-    )
-    rows = [
-        EvalRow.from_frequencies(tag.stem, tag.weight, counts[tag.stem]) for tag in cloud.tags
-    ]
+        names = tally.get(tag.stem, [])
+        shared = _shared(tag.contributors, names)
+        rows.append(EvalRow.from_frequencies(tag.stem, tag.weight, len(names), shared))
     in_cloud = {tag.stem for tag in cloud.tags}
-    rows += [EvalRow.from_frequencies(s, 0, n) for s, n in counts.items() if s not in in_cloud]
+    rows += [EvalRow.from_frequencies(s, 0, len(n)) for s, n in tally.items() if s not in in_cloud]
     rows.sort(key=lambda row: row.stem)
     return EvalReport(cloud.corpus_label, tuple(rows))
+
+
+def evaluate(cloud: TagCloud, ids: Iterable[Identifier], lexicon: StemLexicon) -> EvalReport:
+    """:func:`score` of ``cloud`` against the oracle's tally of ``ids``, read once.
+
+    A kind-restricted cloud is scored against the oracle over that kind's
+    identifiers.
+    """
+    tally: dict[str, list[str]] = {}
+    for _ in tally_oracle(ids, tally, lexicon, cloud.kind, cloud.filters.stop_words_enabled):
+        pass
+    return score(cloud, tally)
 
 
 # --- serialization -------------------------------------------------------

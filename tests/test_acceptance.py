@@ -18,6 +18,7 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -132,7 +133,7 @@ def test_nanoxml_reproduction(lexicon):
                     "set CODECLOUD_NANOXML_DIR to run")
     ids = extract_corpus(scan_tree(root))
     tags = build_tags(ids, CloudKind.ALL, lexicon, FilterConfig())
-    stats = compute_stats(ids, tags, 0)
+    stats = compute_stats(Counter(i.kind for i in ids), tags, 0)
     expected = {
         "packages": 3,
         "classes": 24,
@@ -162,7 +163,7 @@ def test_argouml_reproduction(lexicon):
         _skip(name, "ArgoUML sources not available; set CODECLOUD_ARGOUML_DIR to run")
     ids = extract_corpus(scan_tree(root))
     tags = build_tags(ids, CloudKind.ALL, lexicon, FilterConfig())
-    stats = compute_stats(ids, tags, 0)
+    stats = compute_stats(Counter(i.kind for i in ids), tags, 0)
     expected = {
         "packages": 103,
         "classes": 1745,

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -5,6 +6,8 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+
+import pytest
 
 from codecloud import (
     CloudKind,
@@ -14,10 +17,13 @@ from codecloud import (
     build_cloud,
     cli,
     cloud_from_json_dict,
+    cloudmodel,
+    evaluator,
     extract_corpus,
     extractor,
     render_svg,
     scan_tree,
+    split_identifier,
 )
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -308,6 +314,38 @@ def test_cloud_holds_one_file_at_a_time(big_corpus, monkeypatch):
     assert events == ["read", "extract"] * files
 
 
+@pytest.mark.parametrize(
+    "command, used",
+    [
+        (["cloud", "--format", "csv"], ["weigh"]),
+        (["stats"], ["weigh"]),
+        (["eval", "--format", "json"], ["weigh", "oracle"]),
+        (["dump-identifiers"], ["dump"]),
+    ],
+    ids=["cloud", "stats", "eval", "dump-identifiers"],
+)
+def test_commands_use_each_file_before_the_last_is_read(
+    big_corpus, tmp_path, monkeypatch, command, used
+):
+    events = []
+
+    def logged(name, function):
+        def wrapper(*args):
+            events.append(name)
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(Path, "read_bytes", logged("read", Path.read_bytes))
+    monkeypatch.setattr(cloudmodel, "split_identifier", logged("weigh", split_identifier))
+    monkeypatch.setattr(evaluator, "_split_batch", logged("oracle", evaluator._split_batch))
+    monkeypatch.setattr(cli, "identifier_to_dict", logged("dump", cli.identifier_to_dict))
+    out = tmp_path / "out"
+    assert cli.main([command[0], str(big_corpus.root), *command[1:], "-o", str(out)]) == 0
+    last_read = len(events) - 1 - events[::-1].index("read")
+    for name in used:
+        assert events.index(name) < last_read, name
+
+
 def test_warnings_stream_file_by_file(tmp_path, capsys):
     (tmp_path / "A.java").write_text("class Alpha {\n    void m(\n}\n")
     (tmp_path / "B.java").write_text("class Beta { int b; }\n")
@@ -334,6 +372,26 @@ def test_warnings_stream_file_by_file(tmp_path, capsys):
 def test_eval_perfect_on_big_corpus(big_corpus):
     result = run_cli("eval", big_corpus.root, "--format", "csv")
     assert result.returncode == 0
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_eval_report_is_written_in_large_pieces(big_corpus, monkeypatch):
+    # each write to an unbuffered standard output is a system call
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["eval", str(big_corpus.root), "--format", "json"]) == 0
+    text = stdout.getvalue()
+    assert json.loads(text)["allPerfect"] is True
+    assert stdout.writes <= 2 + len(text) // cli._WRITE_BATCH
 
 
 def test_eval_perfect_on_letter_numbers(tmp_path):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from codecloud import (
@@ -122,7 +124,7 @@ def test_build_cloud_takes_a_one_shot_generator(lexicon, drawing_shapes_ids, kin
 
 def test_compute_stats_fixture(lexicon, drawing_shapes_ids):
     tags = build_tags(drawing_shapes_ids, CloudKind.ALL, lexicon, FilterConfig())
-    stats = compute_stats(drawing_shapes_ids, tags, elapsed_ms=12)
+    stats = compute_stats(Counter(i.kind for i in drawing_shapes_ids), tags, elapsed_ms=12)
     assert (
         stats.packages,
         stats.classes,
@@ -136,7 +138,7 @@ def test_compute_stats_fixture(lexicon, drawing_shapes_ids):
 
 def test_compute_stats_menagerie(lexicon, menagerie_ids):
     tags = build_tags(menagerie_ids, CloudKind.ALL, lexicon, FilterConfig())
-    stats = compute_stats(menagerie_ids, tags, elapsed_ms=0)
+    stats = compute_stats(Counter(i.kind for i in menagerie_ids), tags, elapsed_ms=0)
     assert (
         stats.packages,
         stats.classes,
@@ -149,7 +151,7 @@ def test_compute_stats_menagerie(lexicon, menagerie_ids):
 
 
 def test_compute_stats_empty():
-    stats = compute_stats([], [], elapsed_ms=0)
+    stats = compute_stats(Counter(), [], elapsed_ms=0)
     assert (
         stats.packages,
         stats.classes,

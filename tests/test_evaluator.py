@@ -5,7 +5,6 @@ import pytest
 
 from codecloud import (
     CloudKind,
-    CorpusMismatchError,
     FilterConfig,
     Identifier,
     IdentifierKind,
@@ -16,6 +15,7 @@ from codecloud import (
     cloud_to_json_dict,
     evaluate,
     evaluator,
+    tally_oracle,
 )
 from codecloud.evaluator import EvalReport, EvalRow, report_to_csv, report_to_json_dict
 
@@ -124,10 +124,58 @@ def test_report_verdict_follows_its_rows():
     assert EvalReport("x", (EvalRow.from_frequencies("a", 1, 2),)).all_perfect is False
 
 
-def test_corpus_mismatch_raises(lexicon, drawing_shapes_ids, menagerie_ids):
+def test_cloud_of_another_corpus_is_imperfect(lexicon, drawing_shapes_ids, menagerie_ids):
     cloud = build_cloud(drawing_shapes_ids, CloudKind.ALL, lexicon, FilterConfig(), "x")
-    with pytest.raises(CorpusMismatchError):
-        evaluate(cloud, menagerie_ids, lexicon)
+    report = evaluate(cloud, menagerie_ids, lexicon)
+    assert not report.all_perfect
+    # no contributor is an identifier of the other corpus, so no tag is right
+    assert all(row.precision == 0.0 for row in report.rows if row.cloud_frequency)
+
+
+def _with_contributors(cloud, contributors):
+    """``cloud`` with the contributors of the stems in ``contributors`` replaced."""
+    tags = tuple(
+        tag._replace(contributors=contributors.get(tag.stem, tag.contributors))
+        for tag in cloud.tags
+    )
+    return cloud._replace(tags=tags)
+
+
+def test_swapped_contributors_detected(lexicon, drawing_shapes_ids):
+    cloud = build_cloud(drawing_shapes_ids, CloudKind.ALL, lexicon, FilterConfig(), "x")
+    by_stem = {tag.stem: tag for tag in cloud.tags}
+    assert by_stem["add"].weight == by_stem["height"].weight == 1
+    swapped = _with_contributors(
+        cloud, {"add": by_stem["height"].contributors, "height": by_stem["add"].contributors}
+    )
+    report = evaluate(swapped, drawing_shapes_ids, lexicon)
+    assert not report.all_perfect
+    bad = [row for row in report.rows if not row.perfect]
+    assert [row.stem for row in bad] == ["add", "height"]
+    assert all((row.cloud_frequency, row.oracle_frequency, row.f_measure) == (1, 1, 0.0)
+               for row in bad)
+
+
+def test_repeated_contributor_detected(lexicon, drawing_shapes_ids):
+    cloud = build_cloud(drawing_shapes_ids, CloudKind.ALL, lexicon, FilterConfig(), "x")
+    draw = next(tag for tag in cloud.tags if tag.stem == "draw")
+    repeated = _with_contributors(cloud, {"draw": draw.contributors[:1] * draw.weight})
+    report = evaluate(repeated, drawing_shapes_ids, lexicon)
+    assert not report.all_perfect
+    row = next(row for row in report.rows if row.stem == "draw")
+    assert (row.cloud_frequency, row.oracle_frequency) == (10, 10)
+    assert row.precision == row.recall == pytest.approx(1 / 10)
+
+
+def test_evaluate_and_tally_read_a_one_shot_generator(lexicon, menagerie_ids):
+    cloud = build_cloud(menagerie_ids, CloudKind.ALL, lexicon, FilterConfig(), "m")
+    report = evaluate(cloud, (i for i in menagerie_ids), lexicon)
+    assert report == evaluate(cloud, menagerie_ids, lexicon)
+    assert report.all_perfect
+    tally = {}
+    passed = list(tally_oracle((i for i in menagerie_ids), tally, lexicon))
+    assert passed == menagerie_ids
+    assert tally == {tag.stem: list(tag.contributors) for tag in cloud.tags}
 
 
 def test_deserialized_cloud_evaluates_like_the_original(

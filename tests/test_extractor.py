@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -288,7 +289,7 @@ def test_drawing_shapes_inventory(drawing_shapes_ids, drawing_shapes_expected):
         (e["file"], e["kind"], e["simpleName"], e["qualifiedName"])
         for e in drawing_shapes_expected["identifiers"]
     ]
-    stats = compute_stats(drawing_shapes_ids, [], 0)
+    stats = compute_stats(Counter(i.kind for i in drawing_shapes_ids), [], 0)
     assert drawing_shapes_expected["kindCounts"] == {
         "Package": stats.packages,
         "Class": stats.classes,

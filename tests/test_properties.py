@@ -27,7 +27,7 @@ from codecloud import (
     split_identifier,
     stem_word,
 )
-from codecloud.evaluator import EvalRow, _naive_split, oracle_words
+from codecloud.evaluator import EvalRow, _naive_split, _split_batch, oracle_words
 from codecloud.extractor import _KEYWORDS_NEVER_NAMES
 from codecloud.renderer import layout_cloud, text_width
 
@@ -84,6 +84,24 @@ def test_oracle_split_matches_bruteforce_reference(name):
 @example("count\u216bTotal\u24d0")  # a letter number and a symbol, neither a letter
 def test_oracle_split_matches_bruteforce_reference_on_any_text(name):
     assert _naive_split(name) == reference_split(name)
+
+
+#: Name pieces: single characters, with letters that fold to one ASCII
+#: letter (é, É) or to two (ß, ﬁ), and acronym runs before a word.
+_NAME_PIECES = st.one_of(
+    st.sampled_from(string.ascii_letters + string.digits + "_$\u00e9\u00c9\u00df\ufb01"),
+    st.tuples(
+        st.text(string.ascii_uppercase, min_size=2, max_size=4),
+        st.text(string.ascii_lowercase, max_size=3),
+    ).map("".join),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.lists(_NAME_PIECES, max_size=8).map("".join), max_size=12))
+@example(["a\nB", "cD"])  # a name holding the joiner is split on its own
+def test_oracle_batch_split_equals_one_name_at_a_time(names):
+    assert _split_batch(names) == [_naive_split(name) for name in names]
 
 
 @settings(max_examples=1000, deadline=None)

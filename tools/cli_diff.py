@@ -6,11 +6,13 @@ Extracts ``src/`` as it is at REV (through ``git archive``) into a temporary
 directory and runs a fixed matrix of ``codecloud`` invocations on each ROOT
 with both trees, each in a fresh interpreter: every ``cloud`` format, each
 ``--kind``, the filter and label options, ``eval`` and ``stats`` in every
-format with and without stop words, and ``dump-identifiers``.  It compares
-stdout, stderr and the exit code, with the run time (``elapsed_ms``) masked
-in ``cloud``'s summary line and in the ``stats`` reports.  The default ROOTs
-are the fixture trees under ``tests/fixtures``.  It prints each invocation
-that differs and exits with status 1 when any does.
+format with and without stop words, ``eval --format json`` written to a
+file with ``-o``, and ``dump-identifiers``.  It compares stdout, stderr, the
+exit code and the bytes of any file written, with the run time
+(``elapsed_ms``) masked in ``cloud``'s summary line and in the ``stats``
+reports.  The default ROOTs are the fixture trees under ``tests/fixtures``
+and a tree with no ``.java`` file.  It prints each invocation that differs
+and exits with status 1 when any does.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 DEFAULT_ROOTS = [FIXTURES / name for name in ("drawing_shapes", "menagerie", "broken")]
 
+#: Stands for a file in the temporary directory, read back after the run.
+OUT_FILE = "<out-file>"
+
 MATRIX = (
     *(("cloud", "--format", fmt) for fmt in ("svg", "html", "json", "csv")),
     *(("cloud", "--kind", kind, "--format", "json")
@@ -41,6 +46,7 @@ MATRIX = (
       for command in ("eval", "stats")
       for fmt in ("table", "csv", "json")
       for stop in ((), ("--no-stopwords",))),
+    ("eval", "--format", "json", "-o", OUT_FILE),
     ("dump-identifiers",),
 )
 
@@ -59,24 +65,34 @@ def extract_src(rev: str, into: Path) -> Path:
     return into / "src"
 
 
-def outcome(src: Path, args: tuple[str, ...], cwd: str) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one invocation, ``elapsed_ms`` masked."""
+def outcome(src: Path, args: tuple[str, ...], cwd: str) -> tuple[int, str, str, bytes | None]:
+    """Exit code, stdout, stderr and written file of one invocation, ``elapsed_ms`` masked.
+
+    The file is None when the invocation names none or wrote none.
+    """
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run([sys.executable, "-m", "codecloud", *args], cwd=cwd, env=env,
+    out_file = Path(cwd) / "out"
+    out_file.unlink(missing_ok=True)
+    argv = [str(out_file) if arg == OUT_FILE else arg for arg in args]
+    done = subprocess.run([sys.executable, "-m", "codecloud", *argv], cwd=cwd, env=env,
                           capture_output=True, text=True)
     out, err = done.stdout, done.stderr
     if args[0] == "cloud":
         err = _ELAPSED.sub(r"\1<ms>", err)
     elif args[0] == "stats":
         out = _ELAPSED.sub(r"\1<ms>", out)
-    return done.returncode, out, err
+    written = out_file.read_bytes() if OUT_FILE in args and out_file.exists() else None
+    return done.returncode, out, err, written
 
 
 def first_difference(before: tuple, after: tuple) -> str:
-    for name, old, new in zip(("exit code", "stdout", "stderr"), before, after):
+    for name, old, new in zip(("exit code", "stdout", "stderr", "file"), before, after):
         if old != new:
             if name == "exit code":
                 return f"exit code {old} -> {new}"
+            if name == "file":
+                old = "<none>" if old is None else old.decode("utf-8", "replace")
+                new = "<none>" if new is None else new.decode("utf-8", "replace")
             old_lines, new_lines = old.splitlines(), new.splitlines()
             for number, (a, b) in enumerate(zip(old_lines, new_lines), 1):
                 if a != b:
@@ -88,13 +104,17 @@ def first_difference(before: tuple, after: tuple) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~")
-    parser.add_argument("roots", nargs="*", type=Path, default=DEFAULT_ROOTS,
-                        help="source trees to run on (default: the fixture trees)")
+    parser.add_argument("roots", nargs="*", type=Path,
+                        help="source trees to run on (default: the fixture trees and "
+                             "a tree with no .java file)")
     args = parser.parse_args(argv)
     total = differ = 0
     with tempfile.TemporaryDirectory(prefix="cli_diff-") as scratch:
         old_src = extract_src(args.rev, Path(scratch))
-        for root in args.roots:
+        no_java = Path(scratch) / "no_java"
+        (no_java / "docs").mkdir(parents=True)
+        (no_java / "docs" / "README.txt").write_text("no Java here\n")
+        for root in args.roots or [*DEFAULT_ROOTS, no_java]:
             root = root.resolve()
             for invocation in MATRIX:
                 command = (invocation[0], str(root), *invocation[1:])
