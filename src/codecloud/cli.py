@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 no identifiers found,
 4 evaluation found an imperfect tag (regression signal).
+
+A module that only some commands use (the renderer, the evaluator, ``json``)
+is imported by those commands, so start-up loads only what a command runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from collections import Counter
@@ -29,9 +31,7 @@ from .cloudmodel import (
     stats_to_csv,
     stats_to_row,
 )
-from .evaluator import report_to_csv, report_to_json_dict, score, tally_oracle
 from .extractor import CorpusError, Identifier, extract_units, identifier_to_dict, iter_tree
-from .renderer import RenderConfig, render_html, render_svg
 from .stemmer import LexiconError, load_lexicon
 
 EXIT_OK = 0
@@ -220,6 +220,8 @@ def _corpus_label(root: str) -> str:
 
 
 def cmd_cloud(args) -> int:
+    from .renderer import RenderConfig, render_html, render_svg
+
     lexicon = _load_lexicon(args)
     started = time.perf_counter()
     corpus = _Corpus(args.root)
@@ -245,6 +247,8 @@ def cmd_cloud(args) -> int:
     elif args.format == "html":
         text = render_html(cloud, render_cfg)
     elif args.format == "json":
+        import json
+
         text = json.dumps(cloud_to_json_dict(cloud), indent=2, sort_keys=True) + "\n"
     else:  # csv
         lines = ["stem,weight"]
@@ -280,6 +284,8 @@ def cmd_stats(args) -> int:
     if args.format == "csv":
         text = stats_to_csv(stats, label)
     elif args.format == "json":
+        import json
+
         text = json.dumps(row, indent=2, sort_keys=True) + "\n"
     else:
         widths = {name: max(len(name), len(str(value))) for name, value in row.items()}
@@ -307,6 +313,8 @@ def _format_eval_table(report) -> str:
 
 
 def cmd_eval(args) -> int:
+    from .evaluator import report_to_csv, report_to_json_dict, score, tally_oracle
+
     lexicon = _load_lexicon(args)
     corpus = _Corpus(args.root)
     cfg = FilterConfig(stop_words_enabled=not args.no_stopwords)
@@ -320,6 +328,8 @@ def cmd_eval(args) -> int:
     if args.format == "csv":
         chunks = [report_to_csv(report)]
     elif args.format == "json":
+        import json
+
         # the bytes of json.dumps(..., indent=2, sort_keys=True), a piece at a time
         encoder = json.JSONEncoder(indent=2, sort_keys=True)
         chunks = chain(encoder.iterencode(report_to_json_dict(report)), ["\n"])
@@ -331,6 +341,8 @@ def cmd_eval(args) -> int:
 
 def _dump_chunks(ids: Iterable[Identifier]) -> Iterator[str]:
     """``json.dumps`` of the identifiers' dicts with ``indent=2``, one item at a time."""
+    import json
+
     separator = "[\n  "
     for i in ids:
         yield separator + json.dumps(identifier_to_dict(i), indent=2).replace("\n", "\n  ")

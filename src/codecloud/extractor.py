@@ -19,7 +19,8 @@ parameters, and type parameters are never inspected, so the parser needs no
 expression grammar.  Files that do not parse cleanly recover at the next
 plausible boundary and report diagnostics instead of failing.  Open type
 bodies are kept on an explicit stack, not in recursion, so no nesting depth
-makes extraction raise.
+makes extraction raise.  A module declaration (``module-info.java``) is
+skipped through its body and emits nothing.
 """
 
 from __future__ import annotations
@@ -371,6 +372,8 @@ class _Extraction:
             elif value == "import":
                 self.pos += 1
                 self._skip_statement()
+            elif value == "module" or value == "open" and self._peek(1) == "module":
+                self._skip_statement()  # a module declaration: its name, then its body
             elif self._at_type(value):
                 self._parse_type(self.package)
             elif value in _MODIFIERS or value == ";":

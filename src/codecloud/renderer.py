@@ -10,7 +10,6 @@ always renders to the same bytes on any machine.
 
 from __future__ import annotations
 
-from html import escape
 from typing import NamedTuple
 
 from .cloudmodel import TagCloud
@@ -60,6 +59,8 @@ _LABEL_COLOR = "black"
 _FREQ_COLOR = "red"
 _BACKGROUND = "white"
 _ASCENT = 0.8  # baseline sits this fraction of the font size below the row top
+#: ``html.escape(text, quote=False)`` as one translation, without importing ``html``.
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def text_width(text: str, font_size: float) -> float:
@@ -142,7 +143,7 @@ def render_svg(cloud: TagCloud, cfg: RenderConfig) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{cfg.page_width_px}" height="{height:.2f}" '
         f'viewBox="0 0 {cfg.page_width_px} {height:.2f}">',
-        f'<title>{escape(cloud.corpus_label or "tag cloud", quote=False)}</title>',
+        f'<title>{(cloud.corpus_label or "tag cloud").translate(_ESCAPES)}</title>',
         f'<rect width="100%" height="100%" fill="{_BACKGROUND}"/>',
     ]
     top = _PAGE_PAD
@@ -156,13 +157,13 @@ def render_svg(cloud: TagCloud, cfg: RenderConfig) -> str:
             )
             lines.append(
                 f'<text x="{x:.2f}" y="{y:.2f}" {style} '
-                f'fill="{_LABEL_COLOR}">{escape(item.label, quote=False)}</text>'
+                f'fill="{_LABEL_COLOR}">{item.label.translate(_ESCAPES)}</text>'
             )
             if item.freq_label is not None:
                 freq_x = x + item.label_width + text_width(" ", item.font_size)
                 lines.append(
                     f'<text x="{freq_x:.2f}" y="{y:.2f}" {style} '
-                    f'fill="{_FREQ_COLOR}">{escape(item.freq_label, quote=False)}</text>'
+                    f'fill="{_FREQ_COLOR}">{item.freq_label}</text>'
                 )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -170,7 +171,7 @@ def render_svg(cloud: TagCloud, cfg: RenderConfig) -> str:
 
 def render_html(cloud: TagCloud, cfg: RenderConfig) -> str:
     """Render the cloud as a static HTML document (inline styles, no scripts)."""
-    title = escape(cloud.corpus_label or "tag cloud", quote=False)
+    title = (cloud.corpus_label or "tag cloud").translate(_ESCAPES)
     lines = [
         "<!DOCTYPE html>",
         '<html lang="en">',
@@ -190,12 +191,12 @@ def render_html(cloud: TagCloud, cfg: RenderConfig) -> str:
         for item in row:
             span = (
                 f'<span style="font-size:{item.font_size:.2f}pt;'
-                f'color:{_LABEL_COLOR};">{escape(item.label, quote=False)}</span>'
+                f'color:{_LABEL_COLOR};">{item.label.translate(_ESCAPES)}</span>'
             )
             if item.freq_label is not None:
                 span += (
                     f' <span style="font-size:{item.font_size:.2f}pt;'
-                    f'color:{_FREQ_COLOR};">{escape(item.freq_label, quote=False)}</span>'
+                    f'color:{_FREQ_COLOR};">{item.freq_label}</span>'
                 )
             lines.append(span)
         lines.append("</div>")

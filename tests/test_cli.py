@@ -404,9 +404,13 @@ def test_eval_perfect_on_letter_numbers(tmp_path):
     assert "all tags perfect: yes" in result.stdout
 
 
-#: Needed only by the opt-in extraction pool, by CSV reports, or by nothing
-#: that runs, so start-up must not import them.
-_NOT_AT_START_UP = {"dataclasses", "inspect", "logging", "concurrent.futures", "csv"}
+#: Needed only by the opt-in extraction pool, by CSV or JSON output, by one
+#: command (the renderer by ``cloud``, the evaluator by ``eval``), or by
+#: nothing that runs, so start-up must not import them.
+_NOT_AT_START_UP = {
+    "dataclasses", "inspect", "logging", "concurrent.futures", "csv", "json", "html",
+    "codecloud.evaluator", "codecloud.renderer",
+}
 
 
 def _modules_after(code):
@@ -425,6 +429,23 @@ def test_start_up_imports_only_what_runs():
     assert (loaded - bare) & _NOT_AT_START_UP == set()
 
 
+@pytest.mark.parametrize(
+    ("args", "loads", "skips"),
+    [
+        (("cloud", "--format", "svg"), {"codecloud.renderer"},
+         {"codecloud.evaluator", "json", "html"}),
+        (("eval", "--format", "json"), {"codecloud.evaluator", "json"},
+         {"codecloud.renderer", "html"}),
+    ],
+    ids=["cloud_svg", "eval_json"],
+)
+def test_each_command_imports_only_what_it_runs(drawing_shapes_dir, tmp_path, args, loads, skips):
+    argv = [args[0], str(drawing_shapes_dir), *args[1:], "-o", str(tmp_path / "out")]
+    loaded = _modules_after(f"from codecloud.cli import main\nassert main({argv!r}) == 0")
+    assert loaded >= loads
+    assert loaded & skips == set()
+
+
 def test_cloud_on_deeply_nested_source(tmp_path):
     (tmp_path / "Deep.java").write_text("class Deep {\n" * 400 + "}\n" * 400)
     result = run_cli("cloud", tmp_path, "--format", "csv")
@@ -436,3 +457,16 @@ def test_broken_fixture_warns_and_succeeds(broken_dir):
     result = run_cli("cloud", broken_dir, "--format", "csv")
     assert result.returncode == 0
     assert "warning:" in result.stderr
+
+
+def test_public_names_resolve():
+    import codecloud
+
+    for name in codecloud.__all__:
+        assert getattr(codecloud, name) is not None
+    assert set(codecloud.__all__) <= set(dir(codecloud))
+    from codecloud import extractor as module  # a submodule, not a public name
+
+    assert module.extract_identifiers is codecloud.extract_identifiers
+    with pytest.raises(AttributeError):
+        codecloud.nope

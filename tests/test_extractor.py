@@ -459,6 +459,13 @@ def test_json_dump_shape(drawing_shapes_ids):
     assert parsed[0]["kind"] in {"Package", "Class", "Attribute", "Method"}
 
 
+_MODULE = "module com.example.app { requires java.logging; }"
+_OPEN_MODULE = (
+    "import java.lang.annotation.*; @Deprecated open module com.example.app "
+    "{ requires transitive java.logging; uses java.util.logging.Filter; }"
+)
+
+
 @pytest.mark.parametrize(
     ("source", "expected"),
     [
@@ -529,6 +536,10 @@ def test_json_dump_shape(drawing_shapes_ids):
             "class A { class B }\n int y; }",
             [("unexpected 'int' at top level", 2), ("unmatched '}' at top level", 2)],
         ),
+        # a module declaration is no defect; an `open` that starts none still is
+        (_MODULE, []),
+        (_OPEN_MODULE, []),
+        ("open class A {}", [("unexpected 'open' at top level", 1)]),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -759,6 +770,9 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             [(IdentifierKind.CLASS, "A"), (IdentifierKind.METHOD, "A.m"),
              (IdentifierKind.ATTRIBUTE, "A.n")],
         ),
+        # a module declaration (JLS 7.7) declares no identifier
+        (_MODULE, []),
+        (_OPEN_MODULE, []),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -774,12 +788,12 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "escaped_string_initializer", "array_type_declarators", "qualified_and_array_types",
          "member_over_several_lines", "keyword_after_declarator_comma",
          "keyword_after_initialized_declarator", "type_header_ended_by_semicolon",
-         "annotated_dims_after_params"],
+         "annotated_dims_after_params", "module_declaration", "open_module_declaration"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
     ids, diagnostics = extract_identifiers(_unit(source))
-    width = len(expected[0])  # a row may pin each identifier's line as a third field
+    width = len(expected[0]) if expected else 0  # a row may pin each line as a third field
     assert [(i.kind, i.qualified_name, i.line)[:width] for i in ids] == expected
     assert diagnostics == []
 

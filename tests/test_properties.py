@@ -5,6 +5,7 @@ monotonicity, font-size monotonicity, kind decomposition) each run with
 at least 1000 generated cases.
 """
 
+import html
 import string
 
 from hypothesis import example, given, settings, strategies as st
@@ -29,7 +30,7 @@ from codecloud import (
 )
 from codecloud.evaluator import EvalRow, _naive_split, _split_batch, oracle_words
 from codecloud.extractor import _KEYWORDS_NEVER_NAMES
-from codecloud.renderer import layout_cloud, text_width
+from codecloud.renderer import _ESCAPES, layout_cloud, text_width
 
 from reference import oracle_frequency, reference_split, tags_of_identifier
 
@@ -373,3 +374,14 @@ def test_member_header_fast_path_equals_token_parser(members):
     # a comment before a member sends it to the token parser instead
     commented, _ = _type_body(members, "/**/")
     assert extract_identifiers(SourceUnit("A.java", commented)) == (ids, diagnostics)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.text(
+        st.sampled_from("&<>\"'" + string.ascii_letters)
+        | st.characters(categories=("Lu", "Ll", "Lo"), min_codepoint=128)
+    )
+)
+def test_render_escape_equals_html_escape(text):
+    assert text.translate(_ESCAPES) == html.escape(text, quote=False)

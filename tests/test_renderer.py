@@ -187,3 +187,54 @@ def test_html_frequency_annotation_color():
     html = render_html(_cloud([Tag("draw", 10)], show_frequency=True), RenderConfig())
     assert "color:red;" in html and ">[10]</span>" in html
 
+
+
+def _special_cloud():
+    # the characters html.escape(text, quote=False) replaces, and the quotes it keeps
+    return TagCloud(
+        kind=CloudKind.ALL,
+        tags=(Tag("a&b<c>\"d'e", 3), Tag("plain", 1)),
+        filters=FilterConfig(show_frequency=True),
+        corpus_label="R&D <\"x\"> 'y'",
+    )
+
+
+def test_svg_escapes_label_and_stem():
+    assert render_svg(_special_cloud(), RenderConfig()) == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="1000" height="60.00" '
+        'viewBox="0 0 1000 60.00">\n'
+        "<title>R&amp;D &lt;\"x\"&gt; 'y'</title>\n"
+        '<rect width="100%" height="100%" fill="white"/>\n'
+        '<text x="10.00" y="42.00" font-family="Helvetica, Arial, sans-serif" font-size="40.00" '
+        "fill=\"black\">a&amp;b&lt;c&gt;\"d'e</text>\n"
+        '<text x="241.28" y="42.00" font-family="Helvetica, Arial, sans-serif" font-size="40.00" '
+        'fill="red">[3]</text>\n'
+        '<text x="291.32" y="42.00" font-family="Helvetica, Arial, sans-serif" font-size="10.00" '
+        'fill="black">plain</text>\n'
+        '<text x="315.22" y="42.00" font-family="Helvetica, Arial, sans-serif" font-size="10.00" '
+        'fill="red">[1]</text>\n'
+        "</svg>\n"
+    )
+
+
+def test_html_escapes_label_and_stem():
+    assert render_html(_special_cloud(), RenderConfig()) == (
+        "<!DOCTYPE html>\n"
+        '<html lang="en">\n'
+        "<head>\n"
+        '<meta charset="utf-8">\n'
+        "<title>R&amp;D &lt;\"x\"&gt; 'y'</title>\n"
+        "</head>\n"
+        '<body style="background:white;font-family:Helvetica,Arial,sans-serif;margin:0;">\n'
+        '<div style="width:1000px;padding:10px;box-sizing:border-box;">\n'
+        '<div style="margin-bottom:8.00px;white-space:nowrap;">\n'
+        "<span style=\"font-size:40.00pt;color:black;\">a&amp;b&lt;c&gt;\"d'e</span> "
+        '<span style="font-size:40.00pt;color:red;">[3]</span>\n'
+        '<span style="font-size:10.00pt;color:black;">plain</span> '
+        '<span style="font-size:10.00pt;color:red;">[1]</span>\n'
+        "</div>\n"
+        "</div>\n"
+        "</body>\n"
+        "</html>\n"
+    )

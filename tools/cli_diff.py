@@ -6,13 +6,16 @@ Extracts ``src/`` as it is at REV (through ``git archive``) into a temporary
 directory and runs a fixed matrix of ``codecloud`` invocations on each ROOT
 with both trees, each in a fresh interpreter: every ``cloud`` format, each
 ``--kind``, the filter and label options, ``eval`` and ``stats`` in every
-format with and without stop words, ``eval --format json`` written to a
-file with ``-o``, and ``dump-identifiers``.  It compares stdout, stderr, the
-exit code and the bytes of any file written, with the run time
-(``elapsed_ms``) masked in ``cloud``'s summary line and in the ``stats``
-reports.  The default ROOTs are the fixture trees under ``tests/fixtures``
-and a tree with no ``.java`` file.  It prints each invocation that differs
-and exits with status 1 when any does.
+format with and without stop words (``stats --format json`` among them),
+``eval --format json`` written to a file with ``-o``, ``dump-identifiers``,
+and the errors of ``cloud --min-font nan``, ``--page-width 0`` and
+``--min-tag-len 0`` (exit 1 on a tree with identifiers) and of ``eval
+--format json -o .``, whose output path is a directory (exit 2).  It
+compares stdout, stderr, the exit code and the bytes of any file written,
+with the run time (``elapsed_ms``) masked in ``cloud``'s summary line and in
+the ``stats`` reports.  The default ROOTs are the fixture trees under
+``tests/fixtures`` and a tree with no ``.java`` file.  It prints each
+invocation that differs and exits with status 1 when any does.
 """
 
 from __future__ import annotations
@@ -48,6 +51,11 @@ MATRIX = (
       for stop in ((), ("--no-stopwords",))),
     ("eval", "--format", "json", "-o", OUT_FILE),
     ("dump-identifiers",),
+    # usage and I/O errors raised after a command's own imports
+    ("cloud", "--min-font", "nan"),
+    ("cloud", "--page-width", "0"),
+    ("cloud", "--min-tag-len", "0"),
+    ("eval", "--format", "json", "-o", "."),  # the output path is a directory
 )
 
 #: ``cloud``'s summary line, the ``stats`` JSON field, and the last value of
