@@ -15,6 +15,7 @@ from codecloud import (
     extract_identifiers,
     scan_tree,
 )
+from codecloud import extractor
 from codecloud.extractor import IDENTIFIER_RE, _Extraction, identifier_to_dict
 
 
@@ -65,6 +66,39 @@ def test_long_field_is_scanned_in_linear_time(monkeypatch):
     ids, diagnostics = extract_identifiers(_unit(source))
     assert [i.simple_name for i in ids] == ["A"] + [f"a{index}" for index in range(count)]
     assert diagnostics == []
+
+
+class _CountedPattern:
+    """A compiled pattern whose ``match`` calls are counted."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def match(self, *args):
+        self.calls += 1
+        return self.pattern.match(*args)
+
+
+def _body_skip_matches(monkeypatch, source):
+    """How many ``_TO_BRACE_RE`` matches extracting ``source`` makes."""
+    counted = _CountedPattern(extractor._TO_BRACE_RE)
+    monkeypatch.setattr(extractor, "_TO_BRACE_RE", counted)
+    extract_identifiers(_unit(source))
+    return counted.calls
+
+
+def test_skipped_body_costs_one_match_per_brace(monkeypatch):
+    """A skipped body costs one match per brace and one per literal left open, at any size."""
+    for pairs in (10_000, 20_000):
+        nested = "class A { void m() {" + "{}" * pairs + "} }"
+        assert _body_skip_matches(monkeypatch, nested) == 2 * pairs + 1
+        open_literals = "class A { void m() {\n" + '"open\n' * pairs + "} }"
+        assert _body_skip_matches(monkeypatch, open_literals) == pairs + 1
+    for lines in (100_000 // 11, 200_000 // 11):
+        # an unclosed body whose '}'s are all in comments: one match reaches the end
+        unclosed = "class A { void m() {\n" + "a / b // }\n" * lines
+        assert _body_skip_matches(monkeypatch, unclosed) == 1
 
 
 def test_members_after_a_nested_type_take_the_fast_path(monkeypatch):
@@ -466,6 +500,14 @@ _OPEN_MODULE = (
 )
 
 
+def _body_at_depth(depth, statement):
+    """Line 2 opens a method whose line ``depth + 2``, ``depth`` braces deep, is ``statement``."""
+    return (
+        "class A {\n void m() {\n" + "  {\n" * (depth - 1) + f"  {statement}\n"
+        + "  }\n" * depth + " int after;\n}"
+    )
+
+
 @pytest.mark.parametrize(
     ("source", "expected"),
     [
@@ -540,6 +582,29 @@ _OPEN_MODULE = (
         (_MODULE, []),
         (_OPEN_MODULE, []),
         ("open class A {}", [("unexpected 'open' at top level", 1)]),
+        # a literal or comment left open inside a method body, at depth 1, 2 and 3,
+        # and a text block whose '}' closes nothing
+        *[
+            (_body_at_depth(depth, statement), expected)
+            for depth in (1, 2, 3)
+            for statement, expected in [
+                ('f("open', [("unterminated string literal", depth + 2)]),
+                ("c = 'x", [("unterminated character literal", depth + 2)]),
+                (
+                    "/* open",
+                    [("unterminated block comment", depth + 2), ("unbalanced '{'", 2),
+                     ("unbalanced '{'", 1)],
+                ),
+                ('s = """\n  }\n  """;', []),
+            ]
+        ],
+        # a compact constructor's name is its own record's
+        ("class A {\n A { }\n}", [("unexpected '{' after 'A'", 2)]),
+        ("record R() {\n record S() { R { } }\n}", [("unexpected '{' after 'R'", 2)]),
+        # only modifiers and annotations may come before it
+        ("record R() {\n int R { }\n}", [("unexpected '{' after 'R'", 2)]),
+        ("record R() {\n x.R { }\n}", [("unexpected '{' after 'R'", 2)]),
+        ("record R() {\n R[] { }\n}", [("unexpected '{' after 'R'", 2)]),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -773,6 +838,16 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
         # a module declaration (JLS 7.7) declares no identifier
         (_MODULE, []),
         (_OPEN_MODULE, []),
+        # a compact record constructor (JLS 8.10.4) is its record's method
+        (
+            "record Point(int x, int y) {\n  Point {\n    if (x < 0) { x = 0; }\n  }\n}",
+            [(IdentifierKind.CLASS, "Point", 1), (IdentifierKind.METHOD, "Point.Point", 2)],
+        ),
+        (
+            "class A { record R<T>(T t) { @Deprecated public R { } int n; } }",
+            [(IdentifierKind.CLASS, "A", 1), (IdentifierKind.CLASS, "A.R", 1),
+             (IdentifierKind.METHOD, "A.R.R", 1), (IdentifierKind.ATTRIBUTE, "A.R.n", 1)],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -788,7 +863,8 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "escaped_string_initializer", "array_type_declarators", "qualified_and_array_types",
          "member_over_several_lines", "keyword_after_declarator_comma",
          "keyword_after_initialized_declarator", "type_header_ended_by_semicolon",
-         "annotated_dims_after_params", "module_declaration", "open_module_declaration"],
+         "annotated_dims_after_params", "module_declaration", "open_module_declaration",
+         "compact_constructor", "nested_generic_compact_constructor"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too

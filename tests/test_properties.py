@@ -321,6 +321,8 @@ _types = st.tuples(
 _BODY_PIECES = st.sampled_from([
     "x = y;", "{ }", "{ { f(); } }", 'String s = "}";', 's = "{ \\" {";', "char c = '}';",
     "// } {\n", "/* { } */", 'String t = """\n  } {\n  """;', "if (a) { b(); } else { }",
+    "if (a) { for (;;) { { } } }", "x = a / b;", "x /= 2;", "/** } **/", "char q = '\\'';",
+    "char o = '{';", 'String b = "\\\\";', "// a / b }\n",
 ])
 _initializers = st.one_of(
     st.integers(min_value=0, max_value=9999).map(str),
