@@ -22,8 +22,6 @@ from . import __version__
 from .cloudmodel import (
     CloudKind,
     FilterConfig,
-    TagCloud,
-    apply_short_tag_filter,
     build_cloud,
     build_tags,
     cloud_to_json_dict,
@@ -59,6 +57,7 @@ def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("root", help="root directory of the Java source tree")
     parser.add_argument("--stopwords", metavar="FILE", help="override the stop-word list")
     parser.add_argument("--exceptions", metavar="FILE", help="override the stemming exception map")
+    parser.add_argument("--no-stopwords", action="store_true", help="keep stop words as tags")
 
 
 def _add_filter_arguments(parser: argparse.ArgumentParser) -> None:
@@ -78,11 +77,6 @@ def _add_filter_arguments(parser: argparse.ArgumentParser) -> None:
         "--show-freq",
         action="store_true",
         help="annotate each tag with its bracketed weight",
-    )
-    parser.add_argument(
-        "--no-stopwords",
-        action="store_true",
-        help="keep stop words as tags",
     )
 
 
@@ -132,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         report = subparsers.add_parser(name, help=purpose)
         _add_corpus_arguments(report)
-        report.add_argument("--no-stopwords", action="store_true", help="keep stop words as tags")
         report.add_argument(
             "--format",
             choices=("table", "csv", "json"),
@@ -143,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         report.set_defaults(handler=handler)
 
     dump = subparsers.add_parser("dump-identifiers", help="dump extracted identifiers as JSON")
-    _add_corpus_arguments(dump)
+    dump.add_argument("root", help="root directory of the Java source tree")
     _add_output_argument(dump)
     dump.set_defaults(handler=cmd_dump_identifiers)
 
@@ -175,16 +168,6 @@ class _Corpus:
                 )
             self.count += len(ids)
             yield from ids
-
-
-def _filter_config(args) -> FilterConfig:
-    short_enabled = args.min_tag_len is not None and not args.no_short_filter
-    return FilterConfig(
-        short_tag_enabled=short_enabled,
-        min_tag_length=args.min_tag_len if args.min_tag_len is not None else 4,
-        show_frequency=args.show_freq,
-        stop_words_enabled=not args.no_stopwords,
-    )
 
 
 def _write_output(chunks: Iterable[str], out: str) -> None:
@@ -222,26 +205,25 @@ def _corpus_label(root: str) -> str:
 def cmd_cloud(args) -> int:
     from .renderer import RenderConfig, render_html, render_svg
 
-    lexicon = _load_lexicon(args)
-    started = time.perf_counter()
-    corpus = _Corpus(args.root)
-    kind = _KIND_NAMES[args.kind]
-    stop_words = FilterConfig(stop_words_enabled=not args.no_stopwords)
-    tags = build_tags(corpus, kind, lexicon, stop_words)
-    if not corpus.count:
-        print(f"no identifiers found under {args.root}", file=sys.stderr)
-        return EXIT_EMPTY
-    # validated only now, so that a bad --min-tag-len is still reported after
-    # the tree's warnings and the empty check
-    cfg = _filter_config(args)
-    tags = apply_short_tag_filter(tags, cfg)
-    cloud = TagCloud(kind, tuple(tags), cfg, _corpus_label(args.root))
+    cfg = FilterConfig(
+        short_tag_enabled=args.min_tag_len is not None and not args.no_short_filter,
+        min_tag_length=args.min_tag_len if args.min_tag_len is not None else 4,
+        show_frequency=args.show_freq,
+        stop_words_enabled=not args.no_stopwords,
+    )
     render_cfg = RenderConfig(
         page_width_px=args.page_width,
         min_font_pt=args.min_font,
         max_font_pt=args.max_font,
         title_case=args.title_case,
     )
+    lexicon = _load_lexicon(args)
+    started = time.perf_counter()
+    corpus = _Corpus(args.root)
+    cloud = build_cloud(corpus, _KIND_NAMES[args.kind], lexicon, cfg, _corpus_label(args.root))
+    if not corpus.count:
+        print(f"no identifiers found under {args.root}", file=sys.stderr)
+        return EXIT_EMPTY
     if args.format == "svg":
         text = render_svg(cloud, render_cfg)
     elif args.format == "html":
@@ -351,7 +333,6 @@ def _dump_chunks(ids: Iterable[Identifier]) -> Iterator[str]:
 
 
 def cmd_dump_identifiers(args) -> int:
-    _load_lexicon(args)  # validates overrides even though the dump ignores them
     corpus = _Corpus(args.root)
     _write_output(_dump_chunks(corpus), args.out)
     if not corpus.count:

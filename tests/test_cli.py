@@ -236,6 +236,14 @@ def test_dump_identifiers(drawing_shapes_dir):
     assert set(payload[0]) == {"kind", "simpleName", "qualifiedName", "file", "line"}
 
 
+def test_dump_identifiers_takes_no_lexicon_option(drawing_shapes_dir, tmp_path):
+    stops = tmp_path / "stops.txt"
+    stops.write_text("shape\n")
+    result = run_cli("dump-identifiers", drawing_shapes_dir, "--stopwords", stops)
+    assert result.returncode == 1
+    assert "unrecognized arguments: --stopwords" in result.stderr
+
+
 def test_stopwords_override(drawing_shapes_dir, tmp_path):
     stops = tmp_path / "stops.txt"
     stops.write_text("draw\n")
@@ -363,10 +371,37 @@ def test_warnings_stream_file_by_file(tmp_path, capsys):
     assert re.fullmatch(r"identifiers=6 tags=\d+ elapsed_ms=\d+", summary)
     assert cli.main(["eval", str(tmp_path)]) == 0
     assert capsys.readouterr().err.splitlines() == warnings
-    # a bad filter value is reported after the whole stream, as before streaming
+    # a bad filter value is reported before the tree is read
     assert cli.main(["cloud", str(tmp_path), "--min-tag-len", "0"]) == 1
     error = "codecloud: error: min_tag_length must be >= 1"
-    assert capsys.readouterr().err.splitlines() == [*warnings, error]
+    assert capsys.readouterr().err.splitlines() == [error]
+
+
+@pytest.mark.parametrize(
+    "flag, error",
+    [
+        (["--min-tag-len", "0"], "min_tag_length must be >= 1"),
+        (["--page-width", "0"], "page_width_px must be positive"),
+        (["--min-font", "nan"], "font sizes must satisfy 0 < min_font_pt <= max_font_pt < inf"),
+    ],
+    ids=["min_tag_len", "page_width", "min_font"],
+)
+def test_cloud_checks_its_options_before_it_reads_a_file(
+    tmp_path, monkeypatch, capsys, flag, error
+):
+    (tmp_path / "A.java").write_text("class Alpha {\n    void m(\n}\n")
+    (tmp_path / "B.java").write_bytes(b"class Gamma { // caf\xe9\n}}\n")
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def logged_read_bytes(self):
+        reads.append(self)
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", logged_read_bytes)
+    assert cli.main(["cloud", str(tmp_path), *flag]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"codecloud: error: {error}"]
+    assert reads == []
 
 
 def test_eval_perfect_on_big_corpus(big_corpus):

@@ -101,6 +101,43 @@ def test_skipped_body_costs_one_match_per_brace(monkeypatch):
         assert _body_skip_matches(monkeypatch, unclosed) == 1
 
 
+_MALFORMED_SHAPES = {
+    "semicolons_in_open_parenthesis": lambda n: "class A { x(" + "; " * n,
+    "less_than_run_in_field_type": lambda n: "class A { int" + "<" * n + " x; }",
+    "dots_before_field_name": lambda n: "class A { " + "a." * n + "b x; }",
+    "enum_constants": lambda n: "enum E { " + "A, " * n + "}",
+}
+
+
+def _parser_calls(monkeypatch, source):
+    """How many ``_fill``, ``_peek`` and ``_MEMBER_RE`` calls extracting ``source`` makes."""
+    counts = Counter()
+
+    def counted(name, method):
+        def wrapper(*args):
+            counts[name] += 1
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(_Extraction, "_fill", counted("_fill", _Extraction._fill))
+    monkeypatch.setattr(_Extraction, "_peek", counted("_peek", _Extraction._peek))
+    member = _CountedPattern(extractor._MEMBER_RE)
+    monkeypatch.setattr(extractor, "_MEMBER_RE", member)
+    extract_identifiers(_unit(source))
+    monkeypatch.undo()
+    counts["_MEMBER_RE"] = member.calls
+    return counts
+
+
+@pytest.mark.parametrize("shape", _MALFORMED_SHAPES.values(), ids=_MALFORMED_SHAPES.keys())
+def test_malformed_source_costs_calls_linear_in_its_length(monkeypatch, shape):
+    """Twice the repeats cost at most twice the parser calls, so no shape is quadratic."""
+    small = _parser_calls(monkeypatch, shape(10_000))
+    large = _parser_calls(monkeypatch, shape(20_000))
+    for name, calls in large.items():
+        assert calls <= 2 * small[name] + 10, name
+
+
 def test_members_after_a_nested_type_take_the_fast_path(monkeypatch):
     """The lexer stops after '}', so the member after a nested type starts drained."""
     taken = 0
@@ -605,6 +642,12 @@ def _body_at_depth(depth, statement):
         ("record R() {\n int R { }\n}", [("unexpected '{' after 'R'", 2)]),
         ("record R() {\n x.R { }\n}", [("unexpected '{' after 'R'", 2)]),
         ("record R() {\n R[] { }\n}", [("unexpected '{' after 'R'", 2)]),
+        # a nested '(' is counted, so `f((1);` leaves one '(' open to the end
+        (
+            "class A {\n int x = f((1);\n int z;\n}",
+            [("unbalanced '('", 2), ("field declaration ends at end of file", 2),
+             ("unbalanced '{'", 1)],
+        ),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -848,6 +891,15 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             [(IdentifierKind.CLASS, "A", 1), (IdentifierKind.CLASS, "A.R", 1),
              (IdentifierKind.METHOD, "A.R.R", 1), (IdentifierKind.ATTRIBUTE, "A.R.n", 1)],
         ),
+        # a comma after nested parentheses is still inside the outer ones
+        (
+            "class A { int x = f((a), y = 2); }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.x")],
+        ),
+        (
+            "class A { @B(((1)), c = 2) int y; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.y")],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -864,7 +916,8 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "member_over_several_lines", "keyword_after_declarator_comma",
          "keyword_after_initialized_declarator", "type_header_ended_by_semicolon",
          "annotated_dims_after_params", "module_declaration", "open_module_declaration",
-         "compact_constructor", "nested_generic_compact_constructor"],
+         "compact_constructor", "nested_generic_compact_constructor",
+         "nested_parentheses_in_initializer", "nested_parentheses_in_annotation"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too

@@ -9,11 +9,11 @@ with both trees, each in a fresh interpreter: every ``cloud`` format, each
 format with and without stop words (``stats --format json`` among them),
 ``eval --format json`` written to a file with ``-o``, ``dump-identifiers``,
 and the errors of ``cloud --min-font nan``, ``--page-width 0`` and
-``--min-tag-len 0`` (exit 1 on a tree with identifiers) and of ``eval
---format json -o .``, whose output path is a directory (exit 2).  It
-compares stdout, stderr, the exit code and the bytes of any file written,
-with the run time (``elapsed_ms``) masked in ``cloud``'s summary line and in
-the ``stats`` reports.  The default ROOTs are the fixture trees under
+``--min-tag-len 0`` (exit 1 on every root) and of ``eval --format json
+-o .``, whose output path is a directory (exit 2).  It compares stdout,
+stderr, the exit code and the bytes of any file written, with the run time
+(``elapsed_ms``) masked in ``cloud``'s summary line and in the ``stats``
+reports.  The default ROOTs are the fixture trees under
 ``tests/fixtures`` and a tree with no ``.java`` file.  It prints each
 invocation that differs and exits with status 1 when any does.
 """
@@ -58,9 +58,11 @@ MATRIX = (
     ("eval", "--format", "json", "-o", "."),  # the output path is a directory
 )
 
-#: ``cloud``'s summary line, the ``stats`` JSON field, and the last value of
-#: the ``stats`` table and CSV row, with the table's right-aligning padding.
-_ELAPSED = re.compile(r'(elapsed_ms=|"elapsed_ms": )\d+| *\d+(?=\n\Z)')
+#: ``cloud``'s summary line on standard error.
+_CLOUD_ELAPSED = re.compile(r"(?<=elapsed_ms=)\d+")
+#: The ``stats`` JSON field, and the last value of the ``stats`` table and CSV
+#: row, with the table's right-aligning padding.
+_STATS_ELAPSED = re.compile(r'(?<="elapsed_ms": )\d+| *\d+(?=\n\Z)')
 
 
 def extract_src(rev: str, into: Path) -> Path:
@@ -71,6 +73,19 @@ def extract_src(rev: str, into: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(archived.stdout)) as tar:
         tar.extractall(into, filter="data")
     return into / "src"
+
+
+def masked(command: str, out: str, err: str) -> tuple[str, str]:
+    """``command``'s stdout and stderr with the run time replaced by ``<ms>``.
+
+    Only ``stats``' stdout and ``elapsed_ms=N`` in ``cloud``'s stderr carry
+    it, so an error message that ends in a number is compared as it is.
+    """
+    if command == "cloud":
+        err = _CLOUD_ELAPSED.sub("<ms>", err)
+    elif command == "stats":
+        out = _STATS_ELAPSED.sub("<ms>", out)
+    return out, err
 
 
 def outcome(src: Path, args: tuple[str, ...], cwd: str) -> tuple[int, str, str, bytes | None]:
@@ -84,11 +99,7 @@ def outcome(src: Path, args: tuple[str, ...], cwd: str) -> tuple[int, str, str, 
     argv = [str(out_file) if arg == OUT_FILE else arg for arg in args]
     done = subprocess.run([sys.executable, "-m", "codecloud", *argv], cwd=cwd, env=env,
                           capture_output=True, text=True)
-    out, err = done.stdout, done.stderr
-    if args[0] == "cloud":
-        err = _ELAPSED.sub(r"\1<ms>", err)
-    elif args[0] == "stats":
-        out = _ELAPSED.sub(r"\1<ms>", out)
+    out, err = masked(args[0], done.stdout, done.stderr)
     written = out_file.read_bytes() if OUT_FILE in args and out_file.exists() else None
     return done.returncode, out, err, written
 
