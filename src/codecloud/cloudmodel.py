@@ -99,18 +99,26 @@ def build_tags(
     tag's contributor names are kept.
     """
     contributors: dict[str, list[str]] = {}
-    stem_of: dict[str, str] = {}  # one call's memo, so it always matches ``lexicon``
+    # One call's memo, so it matches ``lexicon`` and ``cfg``: a word's stem,
+    # or "" when the cloud drops that stem as a stop word.  No stem is "":
+    # words are non-empty, rules leave two letters, exceptions are words.
+    stem_of: dict[str, str] = {}
+    stop_words = lexicon.stop_words if cfg.stop_words_enabled else frozenset()
     for identifier in _select(ids, kind):
         stems = set()
         for word in split_identifier(identifier.simple_name):
             stem = stem_of.get(word)
             if stem is None:
-                stem = stem_of[word] = stem_word(word, lexicon)
+                stem = stem_word(word, lexicon)
+                stem = stem_of[word] = "" if stem in stop_words else stem
             stems.add(stem)
-        if cfg.stop_words_enabled:
-            stems -= lexicon.stop_words
+        stems.discard("")
+        name = identifier.qualified_name
         for stem in stems:
-            contributors.setdefault(stem, []).append(identifier.qualified_name)
+            if stem in contributors:
+                contributors[stem].append(name)
+            else:
+                contributors[stem] = [name]
     return [
         Tag(stem, len(members), tuple(members))
         for stem, members in sorted(contributors.items())

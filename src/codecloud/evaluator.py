@@ -80,7 +80,7 @@ def _naive_split(name: str) -> list[str]:
 
 def _split_batch(names: list[str]) -> list[list[str]]:
     """:func:`_naive_split` of each name, by one run of the passes over them all."""
-    joined = "\n".join(map(_ascii_fold, names))
+    joined = _ascii_fold("\n".join(names))  # folding keeps each "\n" and adds none
     if joined.count("\n") != len(names) - 1:  # no names, or one holds the joiner
         return [_naive_split(name) for name in names]
     return [line.split() for line in _spaced(joined).split("\n")]

@@ -60,6 +60,13 @@ class IdentifierKind(Enum):
     METHOD = "Method"
 
 
+#: The kinds the hot paths compare and emit, bound once: an ``Enum``
+#: member's class-attribute lookup costs several times a global's.
+_PACKAGE = IdentifierKind.PACKAGE
+_ATTRIBUTE = IdentifierKind.ATTRIBUTE
+_METHOD = IdentifierKind.METHOD
+
+
 class Diagnostic(NamedTuple):
     message: str
     line: int
@@ -173,16 +180,21 @@ _is_name = re.compile(r"[^\W\d]|\$").match
 #: An ASCII name that is not a type keyword, followed by a character that
 #: ends a name and may follow one in a member header.
 _HEADER_NAME = (
-    r"(?!(?:class|interface|enum|record)[\s.\[\](;=])[A-Za-z_$][A-Za-z0-9_$]*(?=[\s.\[\](;=])"
+    r"(?!(?:class|interface|enum|record)[\s.\[\](;=])[A-Za-z_$][A-Za-z0-9_$]*+(?=[\s.\[\](;=])"
 )
 
 #: The common member header, whole, at the start of a member: names, '.',
 #: '[' and ']' with no comments between them, then a parameter list that
 #: holds no brackets, literals, comments or braces and is followed by ';' or
 #: a body's '{'; or ';'; or '=', a one-line string without escapes, a decimal
-#: run or a name, and ';'.  ``name`` is the last name, the member's own.
+#: run or a name, and ';'.  ``name`` is the last name of the run, the
+#: member's own, since only dims may follow it.  Nothing backtracks: the run
+#: of names, '.', '[' and ']' is one possessive loop, which loses no match
+#: because no item of the run can start what follows it.  The loop keeps the
+#: last name it took, and the conditional after it refuses a run that holds
+#: no name, such as the stray ';' of ``int x;;``.
 _MEMBER_RE = re.compile(
-    r"""\s*(?:(?:[.\[\]]|NAME)\s*)*(?P<name>NAME)\s*(?:[.\[\]]\s*)*
+    r"""\s*(?:[.\[\]]\s*|(?P<name>NAME)\s*)*+(?(name)|(?!))
     (?: (?P<params>\([^()"'/{}]*\))\s*(?:;|(?P<body>\{))
       | (?P<init>=\s*(?:"[^"\\\n]*"|[0-9]+|[A-Za-z_$][A-Za-z0-9_$]*)\s*)?;
     )""".replace("NAME", _HEADER_NAME),
@@ -434,15 +446,17 @@ class _Extraction:
         A member named by a keyword is left to the token parser.
         """
         match = _MEMBER_RE.match(self.text, self.lexed_to)
-        if match is None or match["name"] in _KEYWORDS_NEVER_NAMES:
+        if match is None:
             return False
-        name = match["name"]
-        kind = IdentifierKind.ATTRIBUTE if match["params"] is None else IdentifierKind.METHOD
+        name, params, body = match.group("name", "params", "body")
+        if name in _KEYWORDS_NEVER_NAMES:
+            return False
+        kind = _ATTRIBUTE if params is None else _METHOD
         line = self._line(match.start("name"))
         self.out.append(Identifier(kind, name, self.bodies[-1][0] + name, self.path, line))
-        self.lexed_to = match.end()
-        if match.start("body") >= 0:
-            self._skip_body(match.start("body"))
+        self.lexed_to = end = match.end()
+        if body is not None:
+            self._skip_body(end - 1)  # the body's '{' ends the match
         return True
 
     def _parse_package(self) -> None:
@@ -708,10 +722,11 @@ def _list_tree(root: Path) -> list[str]:
     return found
 
 
-def _read_unit(rel: str, path: Path) -> SourceUnit:
+def _read_unit(rel: str, path: str) -> SourceUnit:
     """The unit of one listed file; an unreadable file becomes an empty unit."""
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as file:
+            raw = file.read()
     except OSError as exc:
         return SourceUnit(rel, "", [Diagnostic(f"unreadable file: {exc}", 0)])
     text = raw.decode("utf-8", errors="replace").lstrip("\ufeff")
@@ -734,7 +749,9 @@ def iter_tree(root: str | Path) -> Iterator[SourceUnit]:
         listing = _list_tree(root_path)
     except OSError as exc:
         raise CorpusError(f"source root is not a readable directory: {root_path}") from exc
-    return (_read_unit(rel, root_path / rel) for rel in listing)
+    # each path as ``root_path / rel`` spells it, which drops a root of "."
+    prefix = "" if root_path == Path() else os.path.join(root_path, "")
+    return (_read_unit(rel, prefix + rel) for rel in listing)
 
 
 def scan_tree(root: str | Path) -> list[SourceUnit]:
@@ -761,7 +778,7 @@ def _assemble(extracted) -> Iterator[tuple[SourceUnit, list[Identifier]]]:
         unit.diagnostics.extend(diagnostics)
         kept = []
         for identifier in ids:
-            if identifier.kind is IdentifierKind.PACKAGE:
+            if identifier.kind is _PACKAGE:
                 if identifier.qualified_name in seen_packages:
                     continue
                 seen_packages.add(identifier.qualified_name)

@@ -305,17 +305,17 @@ def test_cli_starts_no_worker_process(big_corpus, monkeypatch):
 
 def test_cloud_holds_one_file_at_a_time(big_corpus, monkeypatch):
     events = []
-    read_bytes, extract_identifiers = Path.read_bytes, extractor.extract_identifiers
+    read_unit, extract_identifiers = extractor._read_unit, extractor.extract_identifiers
 
-    def logged_read_bytes(self):
+    def logged_read_unit(rel, path):
         events.append("read")
-        return read_bytes(self)
+        return read_unit(rel, path)
 
     def logged_extract_identifiers(unit):
         events.append("extract")
         return extract_identifiers(unit)
 
-    monkeypatch.setattr(Path, "read_bytes", logged_read_bytes)
+    monkeypatch.setattr(extractor, "_read_unit", logged_read_unit)
     monkeypatch.setattr(extractor, "extract_identifiers", logged_extract_identifiers)
     assert cli.main(["cloud", str(big_corpus.root), "--format", "csv"]) == 0
     files = len(list(big_corpus.root.rglob("*.java")))
@@ -343,7 +343,7 @@ def test_commands_use_each_file_before_the_last_is_read(
             return function(*args)
         return wrapper
 
-    monkeypatch.setattr(Path, "read_bytes", logged("read", Path.read_bytes))
+    monkeypatch.setattr(extractor, "_read_unit", logged("read", extractor._read_unit))
     monkeypatch.setattr(cloudmodel, "split_identifier", logged("weigh", split_identifier))
     monkeypatch.setattr(evaluator, "_split_batch", logged("oracle", evaluator._split_batch))
     monkeypatch.setattr(cli, "identifier_to_dict", logged("dump", cli.identifier_to_dict))
@@ -392,13 +392,13 @@ def test_cloud_checks_its_options_before_it_reads_a_file(
     (tmp_path / "A.java").write_text("class Alpha {\n    void m(\n}\n")
     (tmp_path / "B.java").write_bytes(b"class Gamma { // caf\xe9\n}}\n")
     reads = []
-    read_bytes = Path.read_bytes
+    read_unit = extractor._read_unit
 
-    def logged_read_bytes(self):
-        reads.append(self)
-        return read_bytes(self)
+    def logged_read_unit(rel, path):
+        reads.append(path)
+        return read_unit(rel, path)
 
-    monkeypatch.setattr(Path, "read_bytes", logged_read_bytes)
+    monkeypatch.setattr(extractor, "_read_unit", logged_read_unit)
     assert cli.main(["cloud", str(tmp_path), *flag]) == 1
     assert capsys.readouterr().err.splitlines() == [f"codecloud: error: {error}"]
     assert reads == []

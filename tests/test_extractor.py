@@ -13,6 +13,7 @@ from codecloud import (
     compute_stats,
     extract_corpus,
     extract_identifiers,
+    iter_tree,
     scan_tree,
 )
 from codecloud import extractor
@@ -106,6 +107,8 @@ _MALFORMED_SHAPES = {
     "less_than_run_in_field_type": lambda n: "class A { int" + "<" * n + " x; }",
     "dots_before_field_name": lambda n: "class A { " + "a." * n + "b x; }",
     "enum_constants": lambda n: "enum E { " + "A, " * n + "}",
+    "names_then_less_than": lambda n: "class A { " + "a " * n + "< }",
+    "slashes_in_class_body": lambda n: "class A { " + "/ " * n + "}",
 }
 
 
@@ -447,20 +450,39 @@ def test_scan_tree_skips_a_directory_it_may_not_list(tmp_path, monkeypatch):
 
 def test_unreadable_file_becomes_diagnostic(tmp_path, monkeypatch):
     (tmp_path / "A.java").write_text("class A {}")
-    from pathlib import Path
 
-    real = Path.read_bytes
-
-    def failing(self):
-        if self.name == "A.java":
+    def failing(path, mode):
+        if os.path.basename(path) == "A.java":
             raise OSError("simulated unreadable file")
-        return real(self)
+        return open(path, mode)
 
-    monkeypatch.setattr(Path, "read_bytes", failing)
+    monkeypatch.setattr(extractor, "open", failing, raising=False)
     units = scan_tree(tmp_path)
     assert len(units) == 1
     assert units[0].text == ""
     assert units[0].diagnostics
+
+
+@pytest.mark.parametrize(
+    ("cwd", "root", "path"),
+    [("sub", ".", "A.java"), (".", "./sub/", "sub/A.java"), (".", "sub", "sub/A.java")],
+    ids=["dot", "dot_sub_slash", "sub"],
+)
+def test_unreadable_file_is_named_by_its_path_under_the_root(
+    tmp_path, monkeypatch, cwd, root, path
+):
+    """The diagnostic names the file as ``Path(root) / rel`` spells it."""
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "A.java").write_text("class A {}")
+    (tmp_path / "sub" / "B.java").write_text("class B {}")
+    monkeypatch.chdir(tmp_path / cwd)
+    units = iter_tree(root)  # lists the tree now and reads each file when reached
+    (tmp_path / "sub" / "A.java").unlink()
+    message = f"unreadable file: [Errno 2] No such file or directory: {path!r}"
+    assert [(unit.path, unit.text, unit.diagnostics) for unit in units] == [
+        ("A.java", "", [(message, 0)]),
+        ("B.java", "class B {}", []),
+    ]
 
 
 def test_bom_and_crlf_sources(tmp_path):
@@ -900,6 +922,15 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             "class A { @B(((1)), c = 2) int y; }",
             [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.y")],
         ),
+        # a stray ';' in a type body is an empty declaration: no member, no warning
+        (
+            "class A { ; int x; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.x")],
+        ),
+        (
+            "class A {\n    int x;;\n}",
+            [(IdentifierKind.CLASS, "A", 1), (IdentifierKind.ATTRIBUTE, "A.x", 2)],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -917,7 +948,8 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "keyword_after_initialized_declarator", "type_header_ended_by_semicolon",
          "annotated_dims_after_params", "module_declaration", "open_module_declaration",
          "compact_constructor", "nested_generic_compact_constructor",
-         "nested_parentheses_in_initializer", "nested_parentheses_in_annotation"],
+         "nested_parentheses_in_initializer", "nested_parentheses_in_annotation",
+         "stray_semicolon_before_field", "stray_semicolon_after_field"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
