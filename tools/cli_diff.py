@@ -1,6 +1,7 @@
 """Compare the CLI at a git revision with the one in the working tree.
 
     python tools/cli_diff.py REV [ROOT ...]
+    python tools/cli_diff.py --write-golden
 
 Extracts ``src/`` as it is at REV (through ``git archive``) into a temporary
 directory and runs a fixed matrix of ``codecloud`` invocations on each ROOT
@@ -8,31 +9,43 @@ with both trees, each in a fresh interpreter: every ``cloud`` format, each
 ``--kind``, the filter and label options, ``eval`` and ``stats`` in every
 format with and without stop words (``stats --format json`` among them),
 ``eval --format json`` written to a file with ``-o``, ``dump-identifiers``,
-and the errors of ``cloud --min-font nan``, ``--page-width 0`` and
+the errors of ``cloud --min-font nan``, ``--page-width 0`` and
 ``--min-tag-len 0`` (exit 1 on every root) and of ``eval --format json
--o .``, whose output path is a directory (exit 2).  It compares stdout,
-stderr, the exit code and the bytes of any file written, with the run time
-(``elapsed_ms``) masked in ``cloud``'s summary line and in the ``stats``
-reports.  The default ROOTs are the fixture trees under
-``tests/fixtures`` and a tree with no ``.java`` file.  It prints each
-invocation that differs and exits with status 1 when any does.
+-o .``, whose output path is a directory (exit 2), and ``cloud
+--no-short-filter``.  It compares stdout, stderr, the exit code and the
+bytes of any file written, with the run time (``elapsed_ms``) masked in
+``cloud``'s summary line and in the ``stats`` reports.  The default ROOTs
+are the fixture trees under ``tests/fixtures`` and a tree with no ``.java``
+file.  It prints each invocation that differs and exits with status 1 when
+any does.
+
+``--write-golden`` instead rewrites ``tests/golden/outputs.json``: the
+SHA-256 of each matrix invocation's outcome with the working tree's
+``src/``, on the fixture trees, the tree with no ``.java`` file and the
+benchmark's seed-1 ``small`` tree.  ``tests/test_golden.py`` recomputes the
+same digests, so an output change fails tier-1 until the file is rewritten.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
+import json
 import os
 import re
 import subprocess
 import sys
 import tarfile
 import tempfile
+from contextlib import chdir, redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 DEFAULT_ROOTS = [FIXTURES / name for name in ("drawing_shapes", "menagerie", "broken")]
+GOLDEN = ROOT / "tests" / "golden" / "outputs.json"
 
 #: Stands for a file in the temporary directory, read back after the run.
 OUT_FILE = "<out-file>"
@@ -44,7 +57,7 @@ MATRIX = (
     ("cloud", "--show-freq"),
     ("cloud", "--show-freq", "--format", "html"),
     ("cloud", "--no-stopwords", "--min-tag-len", "4", "--title-case"),
-    ("cloud", "--min-tag-len", "6", "--no-short-filter", "--format", "csv"),
+    ("cloud", "--min-tag-len", "6", "--format", "csv"),
     *((command, "--format", fmt, *stop)
       for command in ("eval", "stats")
       for fmt in ("table", "csv", "json")
@@ -56,6 +69,7 @@ MATRIX = (
     ("cloud", "--page-width", "0"),
     ("cloud", "--min-tag-len", "0"),
     ("eval", "--format", "json", "-o", "."),  # the output path is a directory
+    ("cloud", "--no-short-filter"),
 )
 
 #: ``cloud``'s summary line on standard error.
@@ -86,6 +100,13 @@ def masked(command: str, out: str, err: str) -> tuple[str, str]:
     elif command == "stats":
         out = _STATS_ELAPSED.sub("<ms>", out)
     return out, err
+
+
+def no_java_tree(parent: Path) -> Path:
+    """Write a tree named ``no_java`` under ``parent`` that holds no ``.java`` file."""
+    (parent / "no_java" / "docs").mkdir(parents=True)
+    (parent / "no_java" / "docs" / "README.txt").write_text("no Java here\n")
+    return parent / "no_java"
 
 
 def outcome(src: Path, args: tuple[str, ...], cwd: str) -> tuple[int, str, str, bytes | None]:
@@ -120,20 +141,85 @@ def first_difference(before: tuple, after: tuple) -> str:
     return ""
 
 
+def in_process_outcome(args: tuple[str, ...], cwd: Path,
+                       out_file: Path) -> tuple[int, str, str, bytes | None]:
+    """``outcome`` of one invocation through ``codecloud.cli.main`` in this process.
+
+    It runs in ``cwd`` with a terminal 80 columns wide, as a fresh interpreter
+    whose output is a pipe sees it, so argparse wraps usage lines alike.
+    """
+    from codecloud import cli
+
+    out_file.unlink(missing_ok=True)
+    argv = [str(out_file) if arg == OUT_FILE else arg for arg in args]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (patch.dict(os.environ, COLUMNS="80"), chdir(cwd),
+          redirect_stdout(stdout), redirect_stderr(stderr)):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    out, err = masked(args[0], stdout.getvalue(), stderr.getvalue())
+    written = out_file.read_bytes() if OUT_FILE in args and out_file.exists() else None
+    return code, out, err, written
+
+
+def golden_roots(scratch: Path) -> list[Path]:
+    """The golden file's roots; the two generated trees are written under ``scratch``."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import corpora  # the benchmark's tree generator
+
+    lexicon = corpora.read_lexicon(ROOT / "src" / "codecloud" / "data")
+    corpora.bodies_tree(scratch / "small", 1, lexicon, classes=145)
+    return [*DEFAULT_ROOTS, no_java_tree(scratch), scratch / "small"]
+
+
+def golden_digests(scratch: Path) -> dict[str, str]:
+    """``"ROOT ARGS"`` -> SHA-256 of the outcome, for each golden root and matrix row.
+
+    Each root is passed by its bare name from its parent directory, so no
+    output names a temporary path; ``scratch`` holds the generated trees and
+    the written file.
+    """
+    digests = {}
+    for root in golden_roots(scratch):
+        for invocation in MATRIX:
+            command = (invocation[0], root.name, *invocation[1:])
+            result = in_process_outcome(command, root.parent, scratch / "out")
+            digests[" ".join(command)] = hashlib.sha256(repr(result).encode()).hexdigest()
+    return digests
+
+
+def write_golden() -> int:
+    with tempfile.TemporaryDirectory(prefix="cli_diff-") as scratch:
+        digests = golden_digests(Path(scratch))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")
+    print(f"{GOLDEN.relative_to(ROOT)}: {len(digests)} invocations")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~")
+    parser.add_argument("rev", nargs="?", help="git revision to compare against, e.g. HEAD~")
     parser.add_argument("roots", nargs="*", type=Path,
                         help="source trees to run on (default: the fixture trees and "
                              "a tree with no .java file)")
+    parser.add_argument("--write-golden", action="store_true",
+                        help=f"rewrite {GOLDEN.relative_to(ROOT)} from the working tree "
+                             "instead of comparing")
     args = parser.parse_args(argv)
+    if args.write_golden:
+        if args.rev or args.roots:
+            parser.error("--write-golden takes no REV or ROOT")
+        sys.path.insert(0, str(ROOT / "src"))
+        return write_golden()
+    if args.rev is None:
+        parser.error("REV is required")
     total = differ = 0
     with tempfile.TemporaryDirectory(prefix="cli_diff-") as scratch:
         old_src = extract_src(args.rev, Path(scratch))
-        no_java = Path(scratch) / "no_java"
-        (no_java / "docs").mkdir(parents=True)
-        (no_java / "docs" / "README.txt").write_text("no Java here\n")
-        for root in args.roots or [*DEFAULT_ROOTS, no_java]:
+        for root in args.roots or [*DEFAULT_ROOTS, no_java_tree(Path(scratch))]:
             root = root.resolve()
             for invocation in MATRIX:
                 command = (invocation[0], str(root), *invocation[1:])
