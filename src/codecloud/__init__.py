@@ -21,8 +21,8 @@ _MODULE_OF = {
     for module, names in {
         "cloudmodel": (
             "CloudKind", "CloudStats", "FilterConfig", "Tag", "TagCloud",
-            "apply_short_tag_filter", "build_cloud", "build_tags", "cloud_from_json_dict",
-            "cloud_to_json_dict", "compute_stats", "stats_to_csv",
+            "apply_short_tag_filter", "build_cloud", "build_tags", "cloud_to_json_dict",
+            "compute_stats", "stats_to_csv",
         ),
         "evaluator": ("EvalReport", "EvalRow", "evaluate", "oracle_words", "score", "tally_oracle"),
         "extractor": (

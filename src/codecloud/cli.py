@@ -69,11 +69,6 @@ def _add_filter_arguments(parser: argparse.ArgumentParser) -> None:
         help="enable the short-tag filter: drop tags shorter than N characters",
     )
     parser.add_argument(
-        "--no-short-filter",
-        action="store_true",
-        help="force the short-tag filter off",
-    )
-    parser.add_argument(
         "--show-freq",
         action="store_true",
         help="annotate each tag with its bracketed weight",
@@ -206,8 +201,7 @@ def cmd_cloud(args) -> int:
     from .renderer import RenderConfig, render_html, render_svg
 
     cfg = FilterConfig(
-        short_tag_enabled=args.min_tag_len is not None and not args.no_short_filter,
-        min_tag_length=args.min_tag_len if args.min_tag_len is not None else 4,
+        min_tag_length=args.min_tag_len,
         show_frequency=args.show_freq,
         stop_words_enabled=not args.no_stopwords,
     )

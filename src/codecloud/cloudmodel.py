@@ -25,8 +25,7 @@ class CloudKind(Enum):
 
 
 class _FilterFields(NamedTuple):
-    short_tag_enabled: bool = False
-    min_tag_length: int = 4
+    min_tag_length: int | None = None
     show_frequency: bool = False
     stop_words_enabled: bool = True
 
@@ -34,16 +33,17 @@ class _FilterFields(NamedTuple):
 class FilterConfig(_FilterFields):
     """Cloud filter settings.
 
-    The short-tag filter removes tags below ``min_tag_length`` characters;
-    the frequency "filter" is render-time only and never changes the tag
-    set.  Stop-word removal happens before weighting.
+    The short-tag filter removes tags below ``min_tag_length`` characters,
+    and is off when that is None; the frequency "filter" is render-time only
+    and never changes the tag set.  Stop-word removal happens before
+    weighting.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.min_tag_length < 1:
+        if self.min_tag_length is not None and self.min_tag_length < 1:
             raise ValueError("min_tag_length must be >= 1")
         return self
 
@@ -56,7 +56,7 @@ class Tag(NamedTuple):
     """A stemmed word, its weight, and the identifiers that contain it.
 
     ``contributors`` are the qualified names of those identifiers, in corpus
-    order; ``weight`` is authoritative for a cloud deserialized from JSON.
+    order.
     """
 
     stem: str
@@ -126,8 +126,8 @@ def build_tags(
 
 
 def apply_short_tag_filter(tags: list[Tag], cfg: FilterConfig) -> list[Tag]:
-    """Drop tags shorter than the configured length; identity when disabled."""
-    if not cfg.short_tag_enabled:
+    """Drop tags shorter than the configured length; identity when it is None."""
+    if cfg.min_tag_length is None:
         return list(tags)
     return [tag for tag in tags if len(tag.stem) >= cfg.min_tag_length]
 
@@ -166,6 +166,9 @@ def compute_stats(
 
 # --- serialization -------------------------------------------------------
 
+#: ``minTagLength`` in JSON while the short-tag filter is off, as the wire form has always said.
+_WIRE_OFF_TAG_LENGTH = 4
+
 
 def stats_to_row(stats: CloudStats, corpus_label: str) -> dict:
     """The stats report's one row: column name -> value, in column order."""
@@ -186,12 +189,13 @@ def stats_to_csv(stats: CloudStats, corpus_label: str) -> str:
 
 def cloud_to_json_dict(cloud: TagCloud) -> dict:
     """Wire form of a cloud; contributors appear as qualified names."""
+    min_tag_length = cloud.filters.min_tag_length
     return {
         "corpus": cloud.corpus_label,
         "kind": cloud.kind.value,
         "filters": {
-            "shortTagEnabled": cloud.filters.short_tag_enabled,
-            "minTagLength": cloud.filters.min_tag_length,
+            "shortTagEnabled": min_tag_length is not None,
+            "minTagLength": _WIRE_OFF_TAG_LENGTH if min_tag_length is None else min_tag_length,
             "showFrequency": cloud.filters.show_frequency,
             "stopWordsEnabled": cloud.filters.stop_words_enabled,
         },
@@ -205,31 +209,3 @@ def cloud_to_json_dict(cloud: TagCloud) -> dict:
         ],
     }
 
-
-def cloud_from_json_dict(payload: dict) -> TagCloud:
-    """Rebuild a cloud from its wire form.
-
-    The result renders, and evaluates against the corpus it was built from,
-    exactly like the original.
-    """
-    filters = payload.get("filters", {})
-    cfg = FilterConfig(
-        short_tag_enabled=bool(filters.get("shortTagEnabled", False)),
-        min_tag_length=int(filters.get("minTagLength", 4)),
-        show_frequency=bool(filters.get("showFrequency", False)),
-        stop_words_enabled=bool(filters.get("stopWordsEnabled", True)),
-    )
-    tags = tuple(
-        Tag(
-            stem=str(entry["stem"]),
-            weight=int(entry["weight"]),
-            contributors=tuple(map(str, entry.get("contributors", ()))),
-        )
-        for entry in payload.get("tags", ())
-    )
-    return TagCloud(
-        kind=CloudKind(payload.get("kind", "All")),
-        tags=tags,
-        filters=cfg,
-        corpus_label=str(payload.get("corpus", "")),
-    )

@@ -8,10 +8,10 @@ from codecloud import (
     Identifier,
     IdentifierKind,
     Tag,
+    TagCloud,
     apply_short_tag_filter,
     build_cloud,
     build_tags,
-    cloud_from_json_dict,
     cloud_to_json_dict,
     compute_stats,
 )
@@ -88,16 +88,16 @@ def test_kind_decomposition(lexicon, drawing_shapes_ids, menagerie_ids):
 
 
 def test_short_tag_filter():
-    cfg = FilterConfig(short_tag_enabled=True, min_tag_length=4)
+    cfg = FilterConfig(min_tag_length=4)
     tags = [Tag("get", 50), Tag("attribute", 45)]
     assert apply_short_tag_filter(tags, cfg) == [Tag("attribute", 45)]
     assert apply_short_tag_filter([], cfg) == []
-    disabled = FilterConfig(short_tag_enabled=False, min_tag_length=4)
+    disabled = FilterConfig(min_tag_length=None)
     assert apply_short_tag_filter(tags, disabled) == tags
 
 
 def test_short_tag_filter_is_monotone_and_weight_preserving():
-    cfg = FilterConfig(short_tag_enabled=True, min_tag_length=5)
+    cfg = FilterConfig(min_tag_length=5)
     tags = [Tag("ab", 1), Tag("abcde", 2), Tag("abcdef", 3)]
     filtered = apply_short_tag_filter(tags, cfg)
     assert set(filtered) <= set(tags)
@@ -105,7 +105,7 @@ def test_short_tag_filter_is_monotone_and_weight_preserving():
 
 
 def test_build_cloud_applies_filters(lexicon, drawing_shapes_ids):
-    cfg = FilterConfig(short_tag_enabled=True, min_tag_length=4)
+    cfg = FilterConfig(min_tag_length=4)
     cloud = build_cloud(drawing_shapes_ids, CloudKind.ALL, lexicon, cfg, "demo")
     assert all(len(t.stem) >= 4 for t in cloud.tags)
     assert cloud.corpus_label == "demo"
@@ -114,7 +114,7 @@ def test_build_cloud_applies_filters(lexicon, drawing_shapes_ids):
 
 @pytest.mark.parametrize("kind", list(CloudKind))
 def test_build_cloud_takes_a_one_shot_generator(lexicon, drawing_shapes_ids, kind):
-    cfg = FilterConfig(short_tag_enabled=True)
+    cfg = FilterConfig(min_tag_length=4)
     expected = build_cloud(drawing_shapes_ids, kind, lexicon, cfg, "shapes")
     assert expected.tags
     once = (identifier for identifier in drawing_shapes_ids)
@@ -165,6 +165,7 @@ def test_compute_stats_empty():
 def test_min_tag_length_validated():
     with pytest.raises(ValueError):
         FilterConfig(min_tag_length=0)
+    assert FilterConfig(min_tag_length=None).min_tag_length is None
 
 
 def test_cloud_json_round_trip(lexicon, drawing_shapes_ids):
@@ -173,13 +174,20 @@ def test_cloud_json_round_trip(lexicon, drawing_shapes_ids):
     payload = cloud_to_json_dict(cloud)
     assert payload["kind"] == "All"
     assert payload["filters"]["showFrequency"] is True
-    rebuilt = cloud_from_json_dict(payload)
-    assert rebuilt.kind is cloud.kind
-    assert rebuilt.filters == cloud.filters
-    assert rebuilt.corpus_label == cloud.corpus_label
-    assert [(t.stem, t.weight) for t in rebuilt.tags] == [
-        (t.stem, t.weight) for t in cloud.tags
-    ]
+
+
+@pytest.mark.parametrize(
+    "cfg, filters",
+    [
+        (FilterConfig(), {"shortTagEnabled": False, "minTagLength": 4}),
+        (FilterConfig(min_tag_length=6), {"shortTagEnabled": True, "minTagLength": 6}),
+    ],
+    ids=["filter_off", "min_tag_length_6"],
+)
+def test_cloud_json_filters(cfg, filters):
+    assert cloud_to_json_dict(TagCloud(CloudKind.ALL, (), cfg))["filters"] == {
+        **filters, "showFrequency": False, "stopWordsEnabled": True,
+    }
 
 
 def test_contributors_serialize_as_qualified_names(lexicon, drawing_shapes_ids):

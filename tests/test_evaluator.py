@@ -1,4 +1,3 @@
-import json
 from collections import Counter
 
 import pytest
@@ -11,8 +10,6 @@ from codecloud import (
     Tag,
     TagCloud,
     build_cloud,
-    cloud_from_json_dict,
-    cloud_to_json_dict,
     evaluate,
     evaluator,
     tally_oracle,
@@ -176,15 +173,6 @@ def test_evaluate_and_tally_read_a_one_shot_generator(lexicon, menagerie_ids):
     passed = list(tally_oracle((i for i in menagerie_ids), tally, lexicon))
     assert passed == menagerie_ids
     assert tally == {tag.stem: list(tag.contributors) for tag in cloud.tags}
-
-
-def test_deserialized_cloud_evaluates_like_the_original(
-    lexicon, drawing_shapes_ids, menagerie_ids
-):
-    for ids in (drawing_shapes_ids, menagerie_ids):
-        cloud = build_cloud(ids, CloudKind.ALL, lexicon, FilterConfig(), "x")
-        rebuilt = cloud_from_json_dict(json.loads(json.dumps(cloud_to_json_dict(cloud))))
-        assert evaluate(rebuilt, ids, lexicon) == evaluate(cloud, ids, lexicon)
 
 
 def test_oracle_stems_each_distinct_word_once(lexicon, menagerie_ids, monkeypatch):

@@ -109,6 +109,13 @@ _MALFORMED_SHAPES = {
     "enum_constants": lambda n: "enum E { " + "A, " * n + "}",
     "names_then_less_than": lambda n: "class A { " + "a " * n + "< }",
     "slashes_in_class_body": lambda n: "class A { " + "/ " * n + "}",
+    "at_signs_in_class_body": lambda n: "class A { " + "@ " * n + "}",
+    "open_parentheses_in_class_body": lambda n: "class A { " + "( " * n,
+    "open_annotation_arguments": lambda n: "class A { " + "@B( " * n,
+    "closing_braces_at_top_level": lambda n: "} " * n,
+    "record_headers_in_class_body": lambda n: "class A { " + "record R(int x) " * n + "}",
+    "unterminated_strings": lambda n: "class A { " + '"\n' * n + "}",
+    "unterminated_comment_openers": lambda n: "class A { " + "/*" * n,
 }
 
 

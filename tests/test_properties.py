@@ -125,7 +125,7 @@ def test_stem_idempotent_on_lexicon_scope(word):
 def test_filter_monotone_and_weight_preserving(pairs, min_len):
     pairs.sort()
     tags = [Tag(stem, weight) for stem, weight in pairs]
-    cfg = FilterConfig(short_tag_enabled=True, min_tag_length=min_len)
+    cfg = FilterConfig(min_tag_length=min_len)
     filtered = apply_short_tag_filter(tags, cfg)
     assert set(filtered) <= set(tags)
     assert all(len(tag.stem) >= min_len for tag in filtered)

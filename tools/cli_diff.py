@@ -11,13 +11,13 @@ format with and without stop words (``stats --format json`` among them),
 ``eval --format json`` written to a file with ``-o``, ``dump-identifiers``,
 the errors of ``cloud --min-font nan``, ``--page-width 0`` and
 ``--min-tag-len 0`` (exit 1 on every root) and of ``eval --format json
--o .``, whose output path is a directory (exit 2), and ``cloud
---no-short-filter``.  It compares stdout, stderr, the exit code and the
-bytes of any file written, with the run time (``elapsed_ms``) masked in
-``cloud``'s summary line and in the ``stats`` reports.  The default ROOTs
-are the fixture trees under ``tests/fixtures`` and a tree with no ``.java``
-file.  It prints each invocation that differs and exits with status 1 when
-any does.
+-o .``, whose output path is a directory (exit 2), and of ``cloud`` given
+an option it does not take (exit 1).  It compares stdout, stderr, the exit
+code and the bytes of any file written, with the run time (``elapsed_ms``)
+masked in ``cloud``'s summary line and in the ``stats`` reports.  The
+default ROOTs are the fixture trees under ``tests/fixtures`` and a tree
+with no ``.java`` file.  It prints each invocation that differs and exits
+with status 1 when any does.
 
 ``--write-golden`` instead rewrites ``tests/golden/outputs.json``: the
 SHA-256 of each matrix invocation's outcome with the working tree's
@@ -69,7 +69,7 @@ MATRIX = (
     ("cloud", "--page-width", "0"),
     ("cloud", "--min-tag-len", "0"),
     ("eval", "--format", "json", "-o", "."),  # the output path is a directory
-    ("cloud", "--no-short-filter"),
+    ("cloud", "--no-short-filter"),  # argparse rejects the removed option
 )
 
 #: ``cloud``'s summary line on standard error.
