@@ -166,7 +166,7 @@ def compute_stats(
 
 # --- serialization -------------------------------------------------------
 
-#: ``minTagLength`` in JSON while the short-tag filter is off, as the wire form has always said.
+#: ``minTagLength`` in JSON while the short-tag filter is off, so the wire form keeps its bytes.
 _WIRE_OFF_TAG_LENGTH = 4
 
 

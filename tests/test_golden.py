@@ -1,4 +1,4 @@
-"""The output contract: every ``tools/cli_diff.py`` matrix invocation prints what it did.
+"""The output contract: each ``tools/cli_diff.py`` matrix invocation keeps its output.
 
 ``tests/golden/outputs.json`` holds the SHA-256 of each invocation's exit
 code, stdout, stderr and written file (run time masked) on the fixture

@@ -69,7 +69,7 @@ MATRIX = (
     ("cloud", "--page-width", "0"),
     ("cloud", "--min-tag-len", "0"),
     ("eval", "--format", "json", "-o", "."),  # the output path is a directory
-    ("cloud", "--no-short-filter"),  # argparse rejects the removed option
+    ("cloud", "--no-short-filter"),  # an option cloud does not take
 )
 
 #: ``cloud``'s summary line on standard error.
