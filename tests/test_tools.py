@@ -32,3 +32,13 @@ def test_cli_diff_masks_only_the_run_time():
     assert cli_diff.masked("stats", '{\n  "elapsed_ms": 12,\n  "tags": 32\n}\n', "") == (
         '{\n  "elapsed_ms": <ms>,\n  "tags": 32\n}\n', ""
     )
+
+
+def test_cli_diff_masks_the_run_time_in_a_written_stats_file(tmp_path):
+    out = tmp_path / "out"
+    out.write_text("corpus,tags,elapsed_ms\nmenagerie,32,12\n")
+    stats = ("stats", "menagerie", "--format", "csv", "-o", cli_diff.OUT_FILE)
+    assert cli_diff.written_file(stats, out) == b"corpus,tags,elapsed_ms\nmenagerie,32,<ms>\n"
+    cloud = ("cloud", "menagerie", "--format", "csv", "-o", cli_diff.OUT_FILE)
+    assert cli_diff.written_file(cloud, out) == out.read_bytes()
+    assert cli_diff.written_file(stats[:-2], out) is None

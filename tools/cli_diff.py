@@ -8,13 +8,14 @@ directory and runs a fixed matrix of ``codecloud`` invocations on each ROOT
 with both trees, each in a fresh interpreter: every ``cloud`` format, each
 ``--kind``, the filter and label options, ``eval`` and ``stats`` in every
 format with and without stop words (``stats --format json`` among them),
-``eval --format json`` written to a file with ``-o``, ``dump-identifiers``,
-the errors of ``cloud --min-font nan``, ``--page-width 0`` and
-``--min-tag-len 0`` (exit 1 on every root) and of ``eval --format json
--o .``, whose output path is a directory (exit 2), and of ``cloud`` given
-an option it does not take (exit 1).  It compares stdout, stderr, the exit
-code and the bytes of any file written, with the run time (``elapsed_ms``)
-masked in ``cloud``'s summary line and in the ``stats`` reports.  The
+``eval --format json``, ``cloud --format json`` and ``stats --format csv``
+written to a file with ``-o``, ``dump-identifiers``, the errors of ``cloud
+--min-font nan``, ``--page-width 0`` and ``--min-tag-len 0`` (exit 1 on
+every root) and of ``eval --format json -o .``, whose output path is a
+directory (exit 2), and of ``cloud`` given an option it does not take
+(exit 1).  It compares stdout, stderr, the exit code and the bytes of any
+file written, with the run time (``elapsed_ms``) masked in ``cloud``'s
+summary line and in the ``stats`` reports, written ones included.  The
 default ROOTs are the fixture trees under ``tests/fixtures`` and a tree
 with no ``.java`` file.  It prints each invocation that differs and exits
 with status 1 when any does.
@@ -63,6 +64,8 @@ MATRIX = (
       for fmt in ("table", "csv", "json")
       for stop in ((), ("--no-stopwords",))),
     ("eval", "--format", "json", "-o", OUT_FILE),
+    ("cloud", "--format", "json", "-o", OUT_FILE),
+    ("stats", "--format", "csv", "-o", OUT_FILE),
     ("dump-identifiers",),
     # usage and I/O errors raised after a command's own imports
     ("cloud", "--min-font", "nan"),
@@ -102,6 +105,18 @@ def masked(command: str, out: str, err: str) -> tuple[str, str]:
     return out, err
 
 
+def written_file(args: tuple[str, ...], out_file: Path) -> bytes | None:
+    """The bytes an invocation wrote to ``out_file``, with ``stats``' run time masked.
+
+    None when the invocation names no file or wrote none.
+    """
+    if OUT_FILE not in args or not out_file.exists():
+        return None
+    if args[0] == "stats":
+        return masked("stats", out_file.read_bytes().decode("utf-8"), "")[0].encode("utf-8")
+    return out_file.read_bytes()
+
+
 def no_java_tree(parent: Path) -> Path:
     """Write a tree named ``no_java`` under ``parent`` that holds no ``.java`` file."""
     (parent / "no_java" / "docs").mkdir(parents=True)
@@ -121,8 +136,7 @@ def outcome(src: Path, args: tuple[str, ...], cwd: str) -> tuple[int, str, str, 
     done = subprocess.run([sys.executable, "-m", "codecloud", *argv], cwd=cwd, env=env,
                           capture_output=True, text=True)
     out, err = masked(args[0], done.stdout, done.stderr)
-    written = out_file.read_bytes() if OUT_FILE in args and out_file.exists() else None
-    return done.returncode, out, err, written
+    return done.returncode, out, err, written_file(args, out_file)
 
 
 def first_difference(before: tuple, after: tuple) -> str:
@@ -160,8 +174,7 @@ def in_process_outcome(args: tuple[str, ...], cwd: Path,
         except SystemExit as exit_:
             code = exit_.code
     out, err = masked(args[0], stdout.getvalue(), stderr.getvalue())
-    written = out_file.read_bytes() if OUT_FILE in args and out_file.exists() else None
-    return code, out, err, written
+    return code, out, err, written_file(args, out_file)
 
 
 def golden_roots(scratch: Path) -> list[Path]:
