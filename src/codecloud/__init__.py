@@ -20,9 +20,8 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "cloudmodel": (
-            "CloudKind", "CloudStats", "FilterConfig", "Tag", "TagCloud",
-            "apply_short_tag_filter", "build_cloud", "build_tags", "cloud_to_json_dict",
-            "compute_stats", "stats_to_csv",
+            "CloudKind", "FilterConfig", "Tag", "TagCloud", "apply_short_tag_filter",
+            "build_cloud", "build_tags", "cloud_to_json_dict",
         ),
         "evaluator": ("EvalReport", "EvalRow", "evaluate", "oracle_words", "score", "tally_oracle"),
         "extractor": (

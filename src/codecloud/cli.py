@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 no identifiers found,
 4 evaluation found an imperfect tag (regression signal).
 
-A module that only some commands use (the renderer, the evaluator, ``json``)
-is imported by those commands, so start-up loads only what a command runs.
+A module that only some commands use (the renderer, the evaluator) is
+imported by those commands, and ``csv`` and ``json`` only by the commands
+that write them, so start-up loads only what a command runs.
 """
 
 from __future__ import annotations
@@ -19,17 +20,15 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import __version__
-from .cloudmodel import (
-    CloudKind,
-    FilterConfig,
-    build_cloud,
-    build_tags,
-    cloud_to_json_dict,
-    compute_stats,
-    stats_to_csv,
-    stats_to_row,
+from .cloudmodel import CloudKind, FilterConfig, build_cloud, build_tags, cloud_to_json_dict
+from .extractor import (
+    CorpusError,
+    Identifier,
+    IdentifierKind,
+    extract_units,
+    identifier_to_dict,
+    iter_tree,
 )
-from .extractor import CorpusError, Identifier, extract_units, identifier_to_dict, iter_tree
 from .stemmer import LexiconError, load_lexicon
 
 EXIT_OK = 0
@@ -192,6 +191,25 @@ def _batched(chunks: Iterable[str]) -> Iterator[str]:
     yield "".join(pending)
 
 
+def _csv(header: Iterable, rows: Iterable[Iterable]) -> str:
+    """``header`` and then each of ``rows`` as a CSV line ending in ``\\n``."""
+    import csv
+    import io
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def _json(value) -> Iterator[str]:
+    """``json.dumps(value, indent=2, sort_keys=True)`` and a newline, a piece at a time."""
+    import json
+
+    return chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(value), ["\n"])
+
+
 def _corpus_label(root: str) -> str:
     name = Path(root).name
     return name or str(root)
@@ -219,19 +237,15 @@ def cmd_cloud(args) -> int:
         print(f"no identifiers found under {args.root}", file=sys.stderr)
         return EXIT_EMPTY
     if args.format == "svg":
-        text = render_svg(cloud, render_cfg)
+        chunks = [render_svg(cloud, render_cfg)]
     elif args.format == "html":
-        text = render_html(cloud, render_cfg)
+        chunks = [render_html(cloud, render_cfg)]
     elif args.format == "json":
-        import json
-
-        text = json.dumps(cloud_to_json_dict(cloud), indent=2, sort_keys=True) + "\n"
+        chunks = _json(cloud_to_json_dict(cloud))
     else:  # csv
-        lines = ["stem,weight"]
-        lines.extend(f"{tag.stem},{tag.weight}" for tag in cloud.tags)
-        text = "\n".join(lines) + "\n"
+        chunks = [_csv(("stem", "weight"), ((tag.stem, tag.weight) for tag in cloud.tags))]
+    _write_output(chunks, args.out)  # the JSON is encoded as it is written
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    _write_output([text], args.out)
     print(
         f"identifiers={corpus.count} tags={len(cloud.tags)} elapsed_ms={elapsed_ms}",
         file=sys.stderr,
@@ -253,22 +267,26 @@ def cmd_stats(args) -> int:
     kind_counts: Counter = Counter()
     cfg = FilterConfig(stop_words_enabled=not args.no_stopwords)
     tags = build_tags(_counted(corpus, kind_counts), CloudKind.ALL, lexicon, cfg)
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    stats = compute_stats(kind_counts, tags, elapsed_ms)
-    label = _corpus_label(args.root)
-    row = stats_to_row(stats, label)
+    row = {
+        "corpus": _corpus_label(args.root),
+        "packages": kind_counts[IdentifierKind.PACKAGE],
+        "classes": kind_counts[IdentifierKind.CLASS],
+        "attributes": kind_counts[IdentifierKind.ATTRIBUTE],
+        "methods": kind_counts[IdentifierKind.METHOD],
+        "identifiers": kind_counts.total(),
+        "tags": len(tags),
+        "elapsed_ms": int((time.perf_counter() - started) * 1000),
+    }
     if args.format == "csv":
-        text = stats_to_csv(stats, label)
+        chunks = [_csv(row, [row.values()])]
     elif args.format == "json":
-        import json
-
-        text = json.dumps(row, indent=2, sort_keys=True) + "\n"
+        chunks = _json(row)
     else:
         widths = {name: max(len(name), len(str(value))) for name, value in row.items()}
         header = "  ".join(f"{name:>{widths[name]}}" for name in row)
         values = "  ".join(f"{value!s:>{widths[name]}}" for name, value in row.items())
-        text = header + "\n" + values + "\n"
-    _write_output([text], args.out)
+        chunks = [header + "\n" + values + "\n"]
+    _write_output(chunks, args.out)
     if not corpus.count:
         print(f"no identifiers found under {args.root}", file=sys.stderr)
         return EXIT_EMPTY
@@ -289,7 +307,7 @@ def _format_eval_table(report) -> str:
 
 
 def cmd_eval(args) -> int:
-    from .evaluator import report_to_csv, report_to_json_dict, score, tally_oracle
+    from .evaluator import _CSV_COLUMNS, report_to_json_dict, score, tally_oracle
 
     lexicon = _load_lexicon(args)
     corpus = _Corpus(args.root)
@@ -302,13 +320,10 @@ def cmd_eval(args) -> int:
         return EXIT_EMPTY
     report = score(cloud, tally)
     if args.format == "csv":
-        chunks = [report_to_csv(report)]
+        rows = ([f"{v:.6g}" if isinstance(v, float) else v for v in row] for row in report.rows)
+        chunks = [_csv(_CSV_COLUMNS, rows)]
     elif args.format == "json":
-        import json
-
-        # the bytes of json.dumps(..., indent=2, sort_keys=True), a piece at a time
-        encoder = json.JSONEncoder(indent=2, sort_keys=True)
-        chunks = chain(encoder.iterencode(report_to_json_dict(report)), ["\n"])
+        chunks = _json(report_to_json_dict(report))
     else:
         chunks = [_format_eval_table(report)]
     _write_output(chunks, args.out)

@@ -9,7 +9,7 @@ one over all identifiers.  Tags are kept in strict alphabetical order.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .extractor import Identifier, IdentifierKind
 from .splitter import split_identifier
@@ -69,18 +69,6 @@ class TagCloud(NamedTuple):
     tags: tuple[Tag, ...]
     filters: FilterConfig
     corpus_label: str = ""
-
-
-class CloudStats(NamedTuple):
-    """Corpus statistics; the field names are the stats report's columns."""
-
-    packages: int
-    classes: int
-    attributes: int
-    methods: int
-    identifiers: int
-    tags: int
-    elapsed_ms: int
 
 
 def _select(ids: Iterable[Identifier], kind: CloudKind) -> Iterable[Identifier]:
@@ -144,47 +132,10 @@ def build_cloud(
     return TagCloud(kind=kind, tags=tuple(tags), filters=cfg, corpus_label=corpus_label)
 
 
-def compute_stats(
-    kind_counts: Mapping[IdentifierKind, int], tags: list[Tag], elapsed_ms: int
-) -> CloudStats:
-    """Per-kind identifier counts plus the distinct tag count.
-
-    ``kind_counts`` maps a kind to its number of identifiers, as a
-    ``Counter`` gathers them while the stream passes; ``tags`` must be built
-    over all identifiers with no short-tag filter.
-    """
-    return CloudStats(
-        packages=kind_counts.get(IdentifierKind.PACKAGE, 0),
-        classes=kind_counts.get(IdentifierKind.CLASS, 0),
-        attributes=kind_counts.get(IdentifierKind.ATTRIBUTE, 0),
-        methods=kind_counts.get(IdentifierKind.METHOD, 0),
-        identifiers=sum(kind_counts.values()),
-        tags=len(tags),
-        elapsed_ms=elapsed_ms,
-    )
-
-
 # --- serialization -------------------------------------------------------
 
 #: ``minTagLength`` in JSON while the short-tag filter is off, so the wire form keeps its bytes.
 _WIRE_OFF_TAG_LENGTH = 4
-
-
-def stats_to_row(stats: CloudStats, corpus_label: str) -> dict:
-    """The stats report's one row: column name -> value, in column order."""
-    return {"corpus": corpus_label, **stats._asdict()}
-
-
-def stats_to_csv(stats: CloudStats, corpus_label: str) -> str:
-    import csv
-    import io
-
-    row = stats_to_row(stats, corpus_label)
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=row, lineterminator="\n")
-    writer.writeheader()
-    writer.writerow(row)
-    return buffer.getvalue()
 
 
 def cloud_to_json_dict(cloud: TagCloud) -> dict:

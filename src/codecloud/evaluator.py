@@ -237,20 +237,9 @@ def evaluate(cloud: TagCloud, ids: Iterable[Identifier], lexicon: StemLexicon) -
 
 # --- serialization -------------------------------------------------------
 
-#: The report's columns, one per :class:`EvalRow` field in field order.
+#: The report's columns, one per :class:`EvalRow` field in field order: the
+#: CSV header, and the keys of each JSON row.
 _CSV_COLUMNS = ("stem", "cloudFreq", "oracleFreq", "precision", "recall", "fMeasure")
-
-
-def report_to_csv(report: EvalReport) -> str:
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for row in report.rows:
-        writer.writerow(f"{v:.6g}" if isinstance(v, float) else v for v in row)
-    return buffer.getvalue()
 
 
 def report_to_json_dict(report: EvalReport) -> dict:

@@ -514,7 +514,7 @@ class _Extraction:
                     self.pos += 1
                     return
                 if value == "}":
-                    return
+                    break
             self.pos += 1
         self._diag(f"missing body for type {name!r}", name_at)
 

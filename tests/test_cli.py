@@ -170,16 +170,37 @@ def test_render_flags_respected(drawing_shapes_dir):
     assert "font-size:12.00pt" in result.stdout
 
 
-def test_stats_table_and_csv(drawing_shapes_dir):
-    table = run_cli("stats", drawing_shapes_dir)
+@pytest.mark.parametrize(
+    "root, counts",
+    [
+        # corpus, packages, classes, attributes, methods, identifiers, tags
+        ("drawing_shapes_dir", ["drawing_shapes", "1", "6", "10", "15", "32", "20"]),
+        ("menagerie_dir", ["menagerie", "2", "7", "13", "15", "37"]),
+    ],
+    ids=["drawing_shapes", "menagerie"],
+)
+def test_stats_table_and_csv(request, root, counts):
+    root = request.getfixturevalue(root)
+    table = run_cli("stats", root)
     assert table.returncode == 0
     assert table.stdout.splitlines()[0].split() == [
         "corpus", "packages", "classes", "attributes", "methods",
         "identifiers", "tags", "elapsed_ms",
     ]
-    csv_out = run_cli("stats", drawing_shapes_dir, "--format", "csv")
+    csv_out = run_cli("stats", root, "--format", "csv")
     row = csv_out.stdout.splitlines()[1].split(",")
-    assert row[:7] == ["drawing_shapes", "1", "6", "10", "15", "32", "20"]
+    assert row[:len(counts)] == counts
+    packages, classes, attributes, methods, identifiers = map(int, row[1:6])
+    assert packages + classes + attributes + methods == identifiers
+
+
+def test_stats_csv_quotes_the_corpus_label(tmp_path, capsys):
+    root = tmp_path / 'a,"b"'
+    root.mkdir()
+    (root / "A.java").write_text("class A { int size; }\n")
+    assert cli.main(["stats", str(root), "--format", "csv"]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.startswith('"a,""b""",0,1,1,0,2,')
 
 
 def test_stats_empty_directory(tmp_path):
@@ -203,6 +224,24 @@ def test_eval_corrupted_weights_exit_four(drawing_shapes_dir, monkeypatch, capsy
     monkeypatch.setattr(cli, "build_cloud", raised_weights)
     assert cli.main(["eval", str(drawing_shapes_dir)]) == 4
     assert "all tags perfect: NO" in capsys.readouterr().out
+
+
+def test_eval_csv_writes_ratios_in_six_significant_digits(
+    drawing_shapes_dir, monkeypatch, capsys
+):
+    def one_raised_weight(*args):
+        cloud = build_cloud(*args)
+        tags = tuple(
+            tag._replace(weight=tag.weight + 1) if tag.stem == "get" else tag
+            for tag in cloud.tags
+        )
+        return cloud._replace(tags=tags)
+
+    monkeypatch.setattr(cli, "build_cloud", one_raised_weight)
+    assert cli.main(["eval", str(drawing_shapes_dir), "--format", "csv"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert "get,3,2,0.666667,1,0.8" in lines
+    assert "draw,10,10,1,1,1" in lines
 
 
 def test_eval_empty_directory(tmp_path):

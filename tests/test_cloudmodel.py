@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 
 from codecloud import (
@@ -13,7 +11,6 @@ from codecloud import (
     build_cloud,
     build_tags,
     cloud_to_json_dict,
-    compute_stats,
 )
 
 from reference import tags_of_identifier
@@ -120,46 +117,6 @@ def test_build_cloud_takes_a_one_shot_generator(lexicon, drawing_shapes_ids, kin
     once = (identifier for identifier in drawing_shapes_ids)
     assert build_cloud(once, kind, lexicon, cfg, "shapes") == expected
     assert next(once, None) is None
-
-
-def test_compute_stats_fixture(lexicon, drawing_shapes_ids):
-    tags = build_tags(drawing_shapes_ids, CloudKind.ALL, lexicon, FilterConfig())
-    stats = compute_stats(Counter(i.kind for i in drawing_shapes_ids), tags, elapsed_ms=12)
-    assert (
-        stats.packages,
-        stats.classes,
-        stats.attributes,
-        stats.methods,
-        stats.identifiers,
-        stats.tags,
-    ) == (1, 6, 10, 15, 32, 20)
-    assert stats.elapsed_ms == 12
-
-
-def test_compute_stats_menagerie(lexicon, menagerie_ids):
-    tags = build_tags(menagerie_ids, CloudKind.ALL, lexicon, FilterConfig())
-    stats = compute_stats(Counter(i.kind for i in menagerie_ids), tags, elapsed_ms=0)
-    assert (
-        stats.packages,
-        stats.classes,
-        stats.attributes,
-        stats.methods,
-        stats.identifiers,
-    ) == (2, 7, 13, 15, 37)
-    kind_sum = stats.packages + stats.classes + stats.attributes + stats.methods
-    assert kind_sum == stats.identifiers
-
-
-def test_compute_stats_empty():
-    stats = compute_stats(Counter(), [], elapsed_ms=0)
-    assert (
-        stats.packages,
-        stats.classes,
-        stats.attributes,
-        stats.methods,
-        stats.identifiers,
-        stats.tags,
-    ) == (0, 0, 0, 0, 0, 0)
 
 
 def test_min_tag_length_validated():

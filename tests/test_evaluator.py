@@ -10,11 +10,12 @@ from codecloud import (
     Tag,
     TagCloud,
     build_cloud,
+    cli,
     evaluate,
     evaluator,
     tally_oracle,
 )
-from codecloud.evaluator import EvalReport, EvalRow, report_to_csv, report_to_json_dict
+from codecloud.evaluator import EvalReport, EvalRow, report_to_json_dict
 
 from reference import oracle_frequency
 
@@ -200,10 +201,11 @@ def test_oracle_memo_does_not_outlive_its_call(lexicon, drawing_shapes_ids):
         assert ("outline" in stems) == (lex is renamed)
 
 
-def test_report_csv_columns(lexicon, drawing_shapes_ids):
+def test_report_csv_columns(lexicon, drawing_shapes_dir, drawing_shapes_ids, capsys):
     cloud = build_cloud(drawing_shapes_ids, CloudKind.ALL, lexicon, FilterConfig(), "x")
     report = evaluate(cloud, drawing_shapes_ids, lexicon)
-    lines = report_to_csv(report).splitlines()
+    assert cli.main(["eval", str(drawing_shapes_dir), "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "stem,cloudFreq,oracleFreq,precision,recall,fMeasure"
     assert len(lines) == 1 + len(report.rows)
     draw = next(line for line in lines if line.startswith("draw,"))

@@ -10,7 +10,6 @@ from codecloud import (
     CorpusError,
     IdentifierKind,
     SourceUnit,
-    compute_stats,
     extract_corpus,
     extract_identifiers,
     iter_tree,
@@ -370,13 +369,8 @@ def test_drawing_shapes_inventory(drawing_shapes_ids, drawing_shapes_expected):
         (e["file"], e["kind"], e["simpleName"], e["qualifiedName"])
         for e in drawing_shapes_expected["identifiers"]
     ]
-    stats = compute_stats(Counter(i.kind for i in drawing_shapes_ids), [], 0)
-    assert drawing_shapes_expected["kindCounts"] == {
-        "Package": stats.packages,
-        "Class": stats.classes,
-        "Attribute": stats.attributes,
-        "Method": stats.methods,
-    }
+    kinds = Counter(i.kind.value for i in drawing_shapes_ids)
+    assert drawing_shapes_expected["kindCounts"] == kinds
 
 
 def test_extraction_is_deterministic(drawing_shapes_dir):
@@ -639,10 +633,14 @@ def _body_at_depth(depth, statement):
         ("enum E {\n class F {}\n}", [("unexpected 'class' in enum constants", 2)]),
         # a method named by a keyword is left to the token parser, which reports it
         ("class A {\n void if();\n}", [("stray '(' in type body", 2)]),
-        # a '}' ends a type header that has no body
+        # a '}' ends a type header that has no body, which is reported as at end of file
         (
             "class A { class B }\n int y; }",
-            [("unexpected 'int' at top level", 2), ("unmatched '}' at top level", 2)],
+            [
+                ("missing body for type 'B'", 1),
+                ("unexpected 'int' at top level", 2),
+                ("unmatched '}' at top level", 2),
+            ],
         ),
         # a module declaration is no defect; an `open` that starts none still is
         (_MODULE, []),
