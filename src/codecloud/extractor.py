@@ -5,12 +5,15 @@ literal whole, and a brace-tracking parser walks the token texts and emits
 one identifier per declaration: the package declaration, every type
 declaration (class, interface, enum, annotation type, record; nested
 included), every field declarator and enum constant, and every method or
-constructor.  The lexer stops after each ';', '{' and '}', so once a member
-ends the parser has used every token lexed.  Where it has, a member of a type
-body in the common shape (ASCII names, dims and dots, then a parameter list,
-';' or a simple initializer) is emitted from one anchored regex match without
-being tokenized; every other form goes to the token parser, with the same
-result either way.  Method bodies, initializer blocks and brace initializers
+constructor.  The lexer stops after each ';', '{' and '}', so once a
+declaration ends the parser has used every token lexed.  Where it has, the
+common shapes are taken from one anchored regex match each without being
+tokenized: a member of a type body (ASCII names, dims and dots, then a
+parameter list, ';' or a simple initializer), the '}' that closes a body,
+and at the top level, after any comments, a package declaration, an import,
+or a type header of modifiers, keyword, ASCII name and dotted supertypes.
+Every other form goes to the token parser, with the same result either way.
+Method bodies, initializer blocks and brace initializers
 (anonymous class bodies included) are skipped without being tokenized: one
 regex match crosses everything up to the next brace outside comments and
 literals, so the scan costs a Python step per brace, not per token.  Only
@@ -63,6 +66,7 @@ class IdentifierKind(Enum):
 #: The kinds the hot paths compare and emit, bound once: an ``Enum``
 #: member's class-attribute lookup costs several times a global's.
 _PACKAGE = IdentifierKind.PACKAGE
+_CLASS = IdentifierKind.CLASS
 _ATTRIBUTE = IdentifierKind.ATTRIBUTE
 _METHOD = IdentifierKind.METHOD
 
@@ -201,6 +205,32 @@ _MEMBER_RE = re.compile(
     re.VERBOSE,
 )
 
+#: One whole terminated comment after optional whitespace.  A gap of
+#: comments is skipped one match each, so a declaration that then fails to
+#: match never backtracks into a comment's text; a comment left open matches
+#: nothing and stays with the token parser, which diagnoses it.
+_GAP_RE = re.compile(_with_bodies(r"\s*+(?://[^\n]*+|/\*BLOCK\*/)"))
+
+#: The common top-level declaration, whole, with no comments inside it: a
+#: package declaration, whose dotted name is ``qualified``; a single-type or
+#: on-demand import, static or not; or a type header of modifiers,
+#: ``class``, ``interface`` or ``enum``, and an ASCII ``name``, followed by
+#: nothing but names, '.', ',' and whitespace up to its body's '{'.
+_HEADER_RE = re.compile(
+    r"""\s*+(?:
+        (?P<package>package)\s++(?P<qualified>DOTTED)\s*+;
+      | import\s++(?:static\s++)?+DOTTED(?:\s*+\.\s*+\*)?+\s*+;
+      | (?:(?:MODIFIERS)\s++)*+(?P<keyword>class|interface|enum)\s++(?P<name>NAME)
+        [A-Za-z0-9_$.,\s]*+\{
+    )""".replace("DOTTED", r"NAME(?:\s*+\.\s*+NAME)*+")
+    .replace("NAME", r"[A-Za-z_$][A-Za-z0-9_$]*+")
+    .replace("MODIFIERS", "|".join(sorted(_MODIFIERS))),
+    re.VERBOSE,
+)
+
+#: The '}' that closes a type body, after nothing but whitespace.
+_CLOSE_RE = re.compile(r"\s*+\}")
+
 
 # --- parser --------------------------------------------------------------
 
@@ -223,16 +253,20 @@ class _Extraction:
     brace to brace with :data:`_TO_BRACE_RE` instead.  Line numbers are
     computed from offsets only where something is emitted or diagnosed.
 
-    When the buffer is drained (the cursor is past every lexed token) at the
-    start of a member of a type body past its enum-constant section,
-    :meth:`_take_member` first tries :data:`_MEMBER_RE` at ``lexed_to``.  A
-    match is the whole member, emitted as the token parser would emit it,
-    so no tokens are lexed for it; anything else is left to the token parser.
+    When the buffer is drained (the cursor is past every lexed token), the
+    text at ``lexed_to`` is first tried against a regex that takes a whole
+    declaration.  In a type body past its enum-constant section,
+    :meth:`_take_member` tries :data:`_MEMBER_RE`; in any body,
+    :data:`_CLOSE_RE` then takes the '}' that closes it.  At the top level,
+    :meth:`_take_header` skips comments with :data:`_GAP_RE` and tries
+    :data:`_HEADER_RE`.  A match is emitted as the token parser would emit
+    it, so no tokens are lexed for it; anything else is left to the token
+    parser.
 
     ``scope`` arguments are the qualified-name prefix of the enclosing package
     and types: their names, each followed by '.'.
     ``bodies`` is the stack of open type bodies, innermost last: each entry
-    holds the body's scope, the position of its '{', whether the body is
+    holds the body's scope, the text offset of its '{', whether the body is
     still in its enum-constant section, and the record's name if it is a
     record's body ("" otherwise).  :meth:`run` parses the innermost
     body's next member, so nesting depth costs no recursion.
@@ -397,7 +431,14 @@ class _Extraction:
     def run(self) -> tuple[list[Identifier], list[Diagnostic]]:
         while True:
             if self.pos == len(self.tokens):
-                if self.bodies and not self.bodies[-1][2] and self._take_member():
+                if self.bodies:
+                    if not self.bodies[-1][2] and self._take_member():
+                        continue
+                    if close := _CLOSE_RE.match(self.text, self.lexed_to):
+                        self.lexed_to = close.end()
+                        self.bodies.pop()
+                        continue
+                elif self._take_header():
                     continue
                 if not self._fill():
                     break
@@ -437,7 +478,7 @@ class _Extraction:
                 self.pos += 1
                 self._skip_statement()
         for _, open_at, _, _ in reversed(self.bodies):
-            self._diag("unbalanced '{'", open_at)
+            self.parser_diagnostics.append(Diagnostic("unbalanced '{'", self._line(open_at)))
         return self.out, self.lexer_diagnostics + self.parser_diagnostics
 
     def _take_member(self) -> bool:
@@ -457,6 +498,37 @@ class _Extraction:
         self.lexed_to = end = match.end()
         if body is not None:
             self._skip_body(end - 1)  # the body's '{' ends the match
+        return True
+
+    def _take_header(self) -> bool:
+        """Emit the top-level declaration at ``lexed_to`` if :data:`_HEADER_RE` matches it whole.
+
+        The comments before it are skipped first, one :data:`_GAP_RE` match
+        each, and stay skipped when the declaration is left to the token
+        parser, so no comment is scanned twice.
+        """
+        text = self.text
+        at = self.lexed_to
+        while gap := _GAP_RE.match(text, at):
+            at = gap.end()
+        self.lexed_to = at
+        match = _HEADER_RE.match(text, at)
+        if match is None:
+            return False
+        qualified, name = match.group("qualified", "name")
+        if name is not None:
+            scope = self.package
+            line = self._line(match.start("name"))
+            self.out.append(Identifier(_CLASS, name, scope + name, self.path, line))
+            is_enum = match.group("keyword") == "enum"
+            self.bodies.append((scope + name + ".", match.end() - 1, is_enum, ""))
+        elif qualified is not None:  # a package; an import emits nothing
+            qualified = "".join(qualified.split())
+            line = self._line(match.start("package"))
+            simple = qualified.rpartition(".")[2]
+            self.out.append(Identifier(_PACKAGE, simple, qualified, self.path, line))
+            self.package = qualified + "."
+        self.lexed_to = match.end()
         return True
 
     def _parse_package(self) -> None:
@@ -507,7 +579,8 @@ class _Extraction:
                     continue
                 if value == "{":
                     record = name if keyword == "record" else ""
-                    self.bodies.append((scope + name + ".", self.pos, keyword == "enum", record))
+                    body = (scope + name + ".", self.offsets[self.pos], keyword == "enum", record)
+                    self.bodies.append(body)
                     self.pos += 1
                     return
                 if value == ";":
@@ -535,7 +608,7 @@ class _Extraction:
             if self._peek() == "{":
                 # constant body: an anonymous subclass scoped by the
                 # constant's own name
-                self.bodies.append((scope + value + ".", self.pos, False, ""))
+                self.bodies.append((scope + value + ".", self.offsets[self.pos], False, ""))
                 self.pos += 1
         else:
             self._diag(f"unexpected {value!r} in enum constants", self.pos)

@@ -115,26 +115,37 @@ _MALFORMED_SHAPES = {
     "record_headers_in_class_body": lambda n: "class A { " + "record R(int x) " * n + "}",
     "unterminated_strings": lambda n: "class A { " + '"\n' * n + "}",
     "unterminated_comment_openers": lambda n: "class A { " + "/*" * n,
+    "comments_before_a_stray_name": lambda n: "/* c */ " * n + "x",
+    "dots_after_package": lambda n: "package " + "a." * n,
+    "dots_after_import": lambda n: "import " + "a." * n,
+    "commas_in_type_header": lambda n: "class A " + "b, " * n + "<",
+    "closing_braces_after_type": lambda n: "class A { " + "} " * n,
 }
 
 
-def _parser_calls(monkeypatch, source):
-    """How many ``_fill``, ``_peek`` and ``_MEMBER_RE`` calls extracting ``source`` makes."""
-    counts = Counter()
+def _count_methods(monkeypatch, counts, names):
+    """Count each call of the ``_Extraction`` methods ``names`` in ``counts``."""
+    for name in names:
+        method = getattr(_Extraction, name)
 
-    def counted(name, method):
-        def wrapper(*args):
+        def wrapper(*args, name=name, method=method):
             counts[name] += 1
             return method(*args)
-        return wrapper
 
-    monkeypatch.setattr(_Extraction, "_fill", counted("_fill", _Extraction._fill))
-    monkeypatch.setattr(_Extraction, "_peek", counted("_peek", _Extraction._peek))
-    member = _CountedPattern(extractor._MEMBER_RE)
-    monkeypatch.setattr(extractor, "_MEMBER_RE", member)
+        monkeypatch.setattr(_Extraction, name, wrapper)
+
+
+def _parser_calls(monkeypatch, source):
+    """How many ``_fill`` and ``_peek`` calls and fast-path matches extracting ``source`` makes."""
+    counts = Counter()
+    _count_methods(monkeypatch, counts, ("_fill", "_peek"))
+    patterns = {}
+    for name in ("_MEMBER_RE", "_GAP_RE", "_HEADER_RE", "_CLOSE_RE"):
+        patterns[name] = _CountedPattern(getattr(extractor, name))
+        monkeypatch.setattr(extractor, name, patterns[name])
     extract_identifiers(_unit(source))
     monkeypatch.undo()
-    counts["_MEMBER_RE"] = member.calls
+    counts.update({name: pattern.calls for name, pattern in patterns.items()})
     return counts
 
 
@@ -163,6 +174,26 @@ def test_members_after_a_nested_type_take_the_fast_path(monkeypatch):
     assert [i.qualified_name for i in ids] == ["A", "A.B", "A.x", "A.y"]
     assert diagnostics == []
     assert taken == 2
+
+
+def test_generated_tree_is_extracted_without_the_token_parser(monkeypatch, big_corpus):
+    """Every package line, type header, member and closing brace of the tree is
+    matched whole, so each file is lexed only to find its end."""
+    units = scan_tree(big_corpus.root)
+    counts = Counter()
+    _count_methods(monkeypatch, counts, ("_fill", "_parse_package", "_parse_type"))
+    ids = extract_corpus(units)
+    assert len(ids) > 2 * len(units)
+    assert all(unit.diagnostics == [] for unit in units)
+    assert counts["_parse_package"] == counts["_parse_type"] == 0
+    assert counts["_fill"] <= len(units)
+
+
+def test_comments_before_a_header_left_to_the_token_parser_are_scanned_once():
+    """The token parser resumes after the last comment the failed header attempt skipped."""
+    extraction = _Extraction(_unit("/* a */ // b\n@A class B {}"))
+    assert not extraction._take_header()
+    assert extraction.text[extraction.lexed_to:] == "\n@A class B {}"
 
 
 def test_multi_declarator_with_initializers():
@@ -936,6 +967,36 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             "class A {\n    int x;;\n}",
             [(IdentifierKind.CLASS, "A", 1), (IdentifierKind.ATTRIBUTE, "A.x", 2)],
         ),
+        # the top-level fast path's boundaries; javac 17 accepts each row before the
+        # unterminated comment and rejects the last three, whose output is pinned as it is
+        (
+            "package a\n  . b\n  ;\nclass A {}",
+            [(IdentifierKind.PACKAGE, "a.b", 1), (IdentifierKind.CLASS, "a.b.A", 4)],
+        ),
+        (
+            "package /* c */ a.b;\nclass A {}",
+            [(IdentifierKind.PACKAGE, "a.b", 1), (IdentifierKind.CLASS, "a.b.A", 2)],
+        ),
+        ("import static a.B.*;\nclass A {}", [(IdentifierKind.CLASS, "A", 2)]),
+        (
+            "// c\n/** d */ public final class A extends b.C implements D, E {}",
+            [(IdentifierKind.CLASS, "A", 2)],
+        ),
+        ("@Deprecated class A {}", [(IdentifierKind.CLASS, "A")]),
+        ("class A<T> {}", [(IdentifierKind.CLASS, "A")]),
+        (
+            "enum E { X, Y; int z; }",
+            [(IdentifierKind.CLASS, "E"), (IdentifierKind.ATTRIBUTE, "E.X"),
+             (IdentifierKind.ATTRIBUTE, "E.Y"), (IdentifierKind.ATTRIBUTE, "E.z")],
+        ),
+        ("class A {} class B {}", [(IdentifierKind.CLASS, "A"), (IdentifierKind.CLASS, "B")]),
+        ("/*\nclass A {}", []),
+        (
+            "package a;\npackage b;\nclass A {}",
+            [(IdentifierKind.PACKAGE, "a", 1), (IdentifierKind.PACKAGE, "b", 2),
+             (IdentifierKind.CLASS, "b.A", 3)],
+        ),
+        ("class A {} }", [(IdentifierKind.CLASS, "A")]),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -954,14 +1015,25 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "annotated_dims_after_params", "module_declaration", "open_module_declaration",
          "compact_constructor", "nested_generic_compact_constructor",
          "nested_parentheses_in_initializer", "nested_parentheses_in_annotation",
-         "stray_semicolon_before_field", "stray_semicolon_after_field"],
+         "stray_semicolon_before_field", "stray_semicolon_after_field",
+         "package_over_several_lines", "commented_package_name", "static_on_demand_import",
+         "commented_type_header", "annotated_type_header", "generic_type_header",
+         "enum_constants_then_member", "two_top_level_types", "unterminated_comment_before_type",
+         "two_package_declarations", "unmatched_brace_after_type"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
     ids, diagnostics = extract_identifiers(_unit(source))
     width = len(expected[0]) if expected else 0  # a row may pin each line as a third field
     assert [(i.kind, i.qualified_name, i.line)[:width] for i in ids] == expected
-    assert diagnostics == []
+    assert [(d.message, d.line) for d in diagnostics] == _TOP_LEVEL_DIAGNOSTICS.get(source, [])
+
+
+#: The diagnostics of the rows above that get any; every other row gets none.
+_TOP_LEVEL_DIAGNOSTICS = {
+    "/*\nclass A {}": [("unterminated block comment", 1)],
+    "class A {} }": [("unmatched '}' at top level", 1)],
+}
 
 
 _SOUP = st.sampled_from(

@@ -29,7 +29,7 @@ from codecloud import (
     stem_word,
 )
 from codecloud.evaluator import EvalRow, _naive_split, _split_batch, oracle_words
-from codecloud.extractor import _KEYWORDS_NEVER_NAMES
+from codecloud.extractor import _KEYWORDS_NEVER_NAMES, _MODIFIERS
 from codecloud.renderer import _ESCAPES, layout_cloud, text_width
 
 from reference import oracle_frequency, reference_split, tags_of_identifier
@@ -375,6 +375,74 @@ def test_member_header_fast_path_equals_token_parser(members):
     assert diagnostics == []
     # a comment before a member sends it to the token parser instead
     commented, _ = _type_body(members, "/**/")
+    assert extract_identifiers(SourceUnit("A.java", commented)) == (ids, diagnostics)
+
+
+_dots = st.sampled_from([".", " . ", "\n.", ".\n  "])
+_COMMENTS = ["// c {\n", "/* c ; */", "/***/", "/** Doc {@link A}. */", "/**\n * Doc.\n */"]
+_gaps = st.lists(st.tuples(_separators, st.sampled_from(_COMMENTS)).map("".join), max_size=2)
+#: Where ``_MARK`` stands, a comment sends the declaration to the token parser.
+_MARK = "\0"
+
+
+@st.composite
+def _dotted(draw):
+    """A dotted name, spaced as drawn, and its segments joined by plain dots."""
+    first, *rest = draw(st.lists(_member_names, min_size=1, max_size=4))
+    spaced = first + "".join(draw(_dots) + segment for segment in rest)
+    return spaced, ".".join([first, *rest])
+
+
+@st.composite
+def _java_files(draw):
+    """A file in the shapes the top-level fast path takes, and its (kind, name, line) list."""
+    sep = draw(_separators)
+    source = "".join(draw(_gaps)) + sep
+    dotted, package = draw(_dotted())
+    expected = [(IdentifierKind.PACKAGE, package, source.count("\n") + 1)]
+    source += f"package{_MARK}{sep}{dotted}{draw(_separators)};\n"
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        source += "".join(draw(_gaps)) + f"{sep}import{_MARK}{sep}"
+        source += "static" + sep if draw(st.booleans()) else ""
+        source += draw(_dotted())[0] + (".*" if draw(st.booleans()) else "") + ";\n"
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        source += "".join(draw(_gaps)) + sep
+        source += "".join(modifier + sep for modifier in draw(
+            st.lists(st.sampled_from(sorted(_MODIFIERS)), max_size=3)
+        ))
+        keyword = draw(st.sampled_from(["class", "interface", "enum"]))
+        name = draw(_member_names)
+        source += f"{_MARK}{keyword}{sep}"
+        expected.append((IdentifierKind.CLASS, f"{package}.{name}", source.count("\n") + 1))
+        source += name
+        for clause in draw(st.lists(st.sampled_from(["extends", "implements"]), max_size=2)):
+            names = draw(st.lists(_dotted(), min_size=1, max_size=3))
+            source += f"{sep}{clause}{sep}" + f",{sep}".join(spaced for spaced, _ in names)
+        source += sep + "{\n"
+        if keyword == "enum":
+            constants = draw(st.lists(_member_names, max_size=2))
+            source += "    " + ", ".join(constants) + ";\n"
+            line = source.count("\n")
+            expected += [(IdentifierKind.ATTRIBUTE, f"{package}.{name}.{constant}", line)
+                         for constant in constants]
+        for head, member, tail, kind in draw(st.lists(_common_members(), max_size=5)):
+            source += "    " + head
+            expected.append((kind, f"{package}.{name}.{member}", source.count("\n") + 1))
+            source += member + tail + "\n"
+        source += "}\n"
+    return source, expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(_java_files())
+def test_file_header_fast_path_equals_token_parser(file):
+    source, expected = file
+    ids, diagnostics = extract_identifiers(SourceUnit("A.java", source.replace(_MARK, "")))
+    assert [(i.kind, i.qualified_name, i.line) for i in ids] == expected
+    assert diagnostics == []
+    # a comment after `package` or `import` or before the type keyword sends it
+    # to the token parser instead
+    commented = source.replace(_MARK, "/**/")
     assert extract_identifiers(SourceUnit("A.java", commented)) == (ids, diagnostics)
 
 

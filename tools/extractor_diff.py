@@ -5,13 +5,14 @@
 Loads ``src/codecloud/extractor.py`` as it is at REV (through ``git show``)
 next to the working tree's copy and runs both on every ``.java`` file under
 each ROOT and on N seeded token soups: random sequences of Java keywords,
-names, punctuation, literals, comments and member-shaped pieces such as
-``int m() {`` after an opening that leaves a class, enum, interface or method
-body open.  For each source it prints how
-many inputs give different identifiers and how many give different
-diagnostics, followed by the first few differences, and it exits with status
-1 when any input differs.  A ROOT that is not a readable directory ends the
-run with status 2 before REV is loaded.
+names, punctuation, literals, comments, member-shaped pieces such as
+``int m() {`` and header-shaped ones such as ``package a.b;`` and
+``public class A {``, after an opening that leaves a class, enum, interface
+or method body open.  For each source it prints how many inputs give
+different identifiers and how many give different diagnostics, followed by
+the first few differences, and it exits with status 1 when any input differs.
+A ROOT that is not a readable directory ends the run with status 2 before
+REV is loaded.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ _TOKENS = (
     "public static final abstract default sealed void int new instanceof return this A B x y "
     "( ) { } [ ] ; , . : ? @ < > = + - * / "
     "\"s\" \" 'c' ' 1 1.5e3 \"\"\"\nt\"\"\" \"\"\" // /* */ $ _ \u0663"
-).split(" ") + ["int m() {", "m() {", "a / b", "/** } */", "'{'"]
+).split(" ") + [
+    "int m() {", "m() {", "a / b", "/** } */", "'{'", "package a.b;", "import a.*;",
+    "import static a.B.c;", "/** d */", "public class A {", "enum E {",
+]
 
 
 def load_at(rev: str) -> types.ModuleType:
