@@ -307,7 +307,7 @@ def _format_eval_table(report) -> str:
 
 
 def cmd_eval(args) -> int:
-    from .evaluator import _CSV_COLUMNS, report_to_json_dict, score, tally_oracle
+    from .evaluator import _CSV_COLUMNS, report_to_json, score, tally_oracle
 
     lexicon = _load_lexicon(args)
     corpus = _Corpus(args.root)
@@ -323,7 +323,7 @@ def cmd_eval(args) -> int:
         rows = ([f"{v:.6g}" if isinstance(v, float) else v for v in row] for row in report.rows)
         chunks = [_csv(_CSV_COLUMNS, rows)]
     elif args.format == "json":
-        chunks = _json(report_to_json_dict(report))
+        chunks = report_to_json(report)
     else:
         chunks = [_format_eval_table(report)]
     _write_output(chunks, args.out)

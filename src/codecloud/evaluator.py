@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .cloudmodel import CloudKind, TagCloud, _select
@@ -31,12 +31,14 @@ from .stemmer import DETACHMENT_RULES, StemLexicon
 
 # --- the naive reference pipeline ---------------------------------------
 
-_ACRONYM_BOUNDARY = re.compile(r"(?<=[A-Z])(?=[A-Z][a-z])")
-_CASE_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
+#: An uppercase letter that starts a word: after an acronym's last-but-one
+#: letter (``XMLParser``) or after a lowercase letter or digit (``getX``).
+#: The two never share a position, so one pass inserts both.
+_BOUNDARY = re.compile(r"(?=[A-Z])(?:(?<=[A-Z])(?=.[a-z])|(?<=[a-z0-9]))")
 #: Spares ``\n``, which joins the names of a batch.
 _NON_LETTER = re.compile(r"[^A-Za-z\n]+")
 
-#: Names split by one run of the three regex passes.
+#: Names split by one run of the two regex passes.
 _BATCH = 256
 
 
@@ -69,9 +71,7 @@ def _ascii_fold(name: str) -> str:
 
 def _spaced(folded: str) -> str:
     """Lowercase words separated by spaces, line for line, from ASCII-folded text."""
-    spaced = _ACRONYM_BOUNDARY.sub(" ", folded)
-    spaced = _CASE_BOUNDARY.sub(" ", spaced)
-    return _NON_LETTER.sub(" ", spaced).lower()
+    return _NON_LETTER.sub(" ", _BOUNDARY.sub(" ", folded)).lower()
 
 
 def _naive_split(name: str) -> list[str]:
@@ -104,22 +104,29 @@ def _naive_stem(word: str, lexicon: StemLexicon) -> str:
 
 def oracle_words(name: str, lexicon: StemLexicon, stop_words_enabled: bool = True) -> set[str]:
     """Stem set of one identifier name, via the naive reference pipeline."""
-    return _oracle_stems(_naive_split(name), lexicon, stop_words_enabled, {})
+    return next(_stem_sets([_naive_split(name)], lexicon, stop_words_enabled, {}))
 
 
-def _oracle_stems(
-    words: list[str], lexicon: StemLexicon, stop_words_enabled: bool, stem_of: dict[str, str]
-) -> set[str]:
-    """Stem set of one name's words through ``stem_of``, the caller's word -> stem memo."""
-    stems = set()
-    for word in words:
-        stem = stem_of.get(word)
-        if stem is None:
-            stem = stem_of[word] = _naive_stem(word, lexicon)
-        stems.add(stem)
-    if stop_words_enabled:
-        stems -= lexicon.stop_words
-    return stems
+def _stem_sets(
+    splits: list[list[str]], lexicon: StemLexicon, stop_words_enabled: bool, stem_of: dict[str, str]
+) -> Iterator[set[str]]:
+    """The stem set of each name's words in ``splits``, through ``stem_of``.
+
+    ``stem_of`` is the caller's memo of a word's stem, or of "" when that
+    stem is a dropped stop word.  No stem is "": words are non-empty, rules
+    leave two letters, exceptions are words.
+    """
+    stop_words = lexicon.stop_words if stop_words_enabled else frozenset()
+    for words in splits:
+        stems = set()
+        for word in words:
+            stem = stem_of.get(word)
+            if stem is None:
+                stem = _naive_stem(word, lexicon)
+                stem = stem_of[word] = "" if stem in stop_words else stem
+            stems.add(stem)
+        stems.discard("")
+        yield stems
 
 
 def tally_oracle(
@@ -134,17 +141,23 @@ def tally_oracle(
     ``ids`` is read once.  For each oracle stem, ``tally`` gets the qualified
     name of every identifier of ``kind`` that contains it, one entry per
     identifier, so overloads repeat a name and the list's length is the
-    oracle frequency.  Names are split a batch at a time; only the batch at
-    hand is held.
+    oracle frequency.  Names are split and stemmed a batch at a time; only
+    the batch at hand is held.
     """
     stem_of: dict[str, str] = {}  # one call's memo, so it always matches ``lexicon``
     ids = iter(ids)
     while batch := list(islice(ids, _BATCH)):
         selected = list(_select(batch, kind))
-        words = _split_batch([identifier.simple_name for identifier in selected])
-        for identifier, split in zip(selected, words):
-            for stem in _oracle_stems(split, lexicon, stop_words_enabled, stem_of):
-                tally.setdefault(stem, []).append(identifier.qualified_name)
+        splits = _split_batch([identifier.simple_name for identifier in selected])
+        stem_sets = _stem_sets(splits, lexicon, stop_words_enabled, stem_of)
+        for identifier, stems in zip(selected, stem_sets):
+            name = identifier.qualified_name
+            for stem in stems:
+                names = tally.get(stem)
+                if names is None:
+                    tally[stem] = [name]
+                else:
+                    names.append(name)
         yield from batch
 
 
@@ -242,9 +255,43 @@ def evaluate(cloud: TagCloud, ids: Iterable[Identifier], lexicon: StemLexicon) -
 _CSV_COLUMNS = ("stem", "cloudFreq", "oracleFreq", "precision", "recall", "fMeasure")
 
 
+#: One JSON row as ``json.dumps(..., indent=2, sort_keys=True)`` writes it
+#: inside the report, with the ``{i}`` slot for :class:`EvalRow` field i.
+_JSON_ROW = (
+    "    {{\n"
+    + ",\n".join(f'      "{column}": {{{i}}}' for column, i in sorted(zip(_CSV_COLUMNS, count())))
+    + "\n    }}"
+)
+
+
 def report_to_json_dict(report: EvalReport) -> dict:
+    """The report as the dict whose ``json.dumps`` :func:`report_to_json` writes."""
     return {
         "corpus": report.corpus_label,
         "allPerfect": report.all_perfect,
         "rows": [dict(zip(_CSV_COLUMNS, row)) for row in report.rows],
     }
+
+
+def report_to_json(report: EvalReport) -> Iterator[str]:
+    """``json.dumps(report_to_json_dict(report), indent=2, sort_keys=True)`` and a
+    newline, one row at a time.
+
+    ``allPerfect`` sorts before ``rows``, so every row is scored before the
+    first piece.  Numbers are written by ``repr``, as ``json`` writes ints
+    and finite floats, and every ratio is finite.
+    """
+    from json.encoder import encode_basestring_ascii as quoted
+
+    head = '{\n  "allPerfect": %s,\n  "corpus": %s,\n  "rows": [' % (
+        "true" if report.all_perfect else "false",
+        quoted(report.corpus_label),
+    )
+    if not report.rows:
+        yield head + "]\n}\n"
+        return
+    separator = head + "\n"
+    for stem, *numbers in report.rows:
+        yield separator + _JSON_ROW.format(quoted(stem), *map(repr, numbers))
+        separator = ",\n"
+    yield "\n  ]\n}\n"

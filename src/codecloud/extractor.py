@@ -525,6 +525,8 @@ class _Extraction:
         elif qualified is not None:  # a package; an import emits nothing
             qualified = "".join(qualified.split())
             line = self._line(match.start("package"))
+            if self.package:
+                self.parser_diagnostics.append(Diagnostic("second package declaration", line))
             simple = qualified.rpartition(".")[2]
             self.out.append(Identifier(_PACKAGE, simple, qualified, self.path, line))
             self.package = qualified + "."
@@ -532,20 +534,26 @@ class _Extraction:
         return True
 
     def _parse_package(self) -> None:
+        """Parse a package declaration; cursor on ``package``.
+
+        A malformed or second declaration is diagnosed and emitted all the
+        same: as the names in it joined by dots, scoping the types after it.
+        """
         start = self.pos
         self.pos += 1
-        segments: list[str] = []
-        while True:
-            value = self._peek()
-            if _is_name(value):
-                segments.append(value)
-            elif value != ".":
-                break
+        run: list[str] = []  # the names and dots up to the first other token
+        while (value := self._peek()) == "." or _is_name(value):
+            run.append(value)
             self.pos += 1
         self._skip_statement()
+        segments = [part for part in run if part != "."]
         if not segments:
             self._diag("package declaration without a name", start)
             return
+        if self.package:
+            self._diag("second package declaration", start)
+        if value != ";" or " ".join(run) != " . ".join(segments):  # not `a.b.c;`
+            self._diag("malformed package declaration", start)
         prefix = "".join(segment + "." for segment in segments[:-1])
         self._emit(IdentifierKind.PACKAGE, segments[-1], prefix, start)
         self.package = prefix + segments[-1] + "."

@@ -226,22 +226,40 @@ def test_eval_corrupted_weights_exit_four(drawing_shapes_dir, monkeypatch, capsy
     assert "all tags perfect: NO" in capsys.readouterr().out
 
 
+def _one_raised_weight(*args):
+    """``build_cloud`` with the ``get`` tag's weight raised by one: 2 -> 3 on drawing_shapes."""
+    cloud = build_cloud(*args)
+    tags = tuple(
+        tag._replace(weight=tag.weight + 1) if tag.stem == "get" else tag for tag in cloud.tags
+    )
+    return cloud._replace(tags=tags)
+
+
 def test_eval_csv_writes_ratios_in_six_significant_digits(
     drawing_shapes_dir, monkeypatch, capsys
 ):
-    def one_raised_weight(*args):
-        cloud = build_cloud(*args)
-        tags = tuple(
-            tag._replace(weight=tag.weight + 1) if tag.stem == "get" else tag
-            for tag in cloud.tags
-        )
-        return cloud._replace(tags=tags)
-
-    monkeypatch.setattr(cli, "build_cloud", one_raised_weight)
+    monkeypatch.setattr(cli, "build_cloud", _one_raised_weight)
     assert cli.main(["eval", str(drawing_shapes_dir), "--format", "csv"]) == 4
     lines = capsys.readouterr().out.splitlines()
     assert "get,3,2,0.666667,1,0.8" in lines
     assert "draw,10,10,1,1,1" in lines
+
+
+def test_eval_json_writes_an_imperfect_report_as_json_dumps_does(
+    drawing_shapes_dir, monkeypatch, capsys
+):
+    def refused(*args, **kwargs):
+        raise AssertionError("eval --format json builds no per-row dict and no JSONEncoder")
+
+    monkeypatch.setattr(cli, "build_cloud", _one_raised_weight)
+    monkeypatch.setattr(evaluator, "report_to_json_dict", refused)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refused)
+    assert cli.main(["eval", str(drawing_shapes_dir), "--format", "json"]) == 4
+    monkeypatch.undo()  # json.dumps below runs JSONEncoder.iterencode
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert '"precision": 0.6666666666666666' in out
+    assert '"allPerfect": false' in out
 
 
 def test_eval_empty_directory(tmp_path):

@@ -706,6 +706,24 @@ def _body_at_depth(depth, statement):
             [("unbalanced '('", 2), ("field declaration ends at end of file", 2),
              ("unbalanced '{'", 1)],
         ),
+        # javac rejects a package name that is not names joined by single dots, and
+        # a second package declaration, wherever it comes and whichever path takes it
+        ("class A {}\npackage a b;", [("malformed package declaration", 2)]),
+        ("package a..b;", [("malformed package declaration", 1)]),
+        ("package a.*;", [("malformed package declaration", 1)]),
+        ("package .a;", [("malformed package declaration", 1)]),
+        ("package a.\nclass A {}", [("malformed package declaration", 1)]),
+        ("package a;\nclass A {}\npackage b;", [("second package declaration", 3)]),
+        ("package a;\n// c\n/* d */ package b;", [("second package declaration", 3)]),
+        ("package a;\npackage /* c */ b;", [("second package declaration", 2)]),
+        (
+            "package a;\n\npackage b c;",
+            [("second package declaration", 3), ("malformed package declaration", 3)],
+        ),
+        (
+            "package a b;\npackage c;",
+            [("malformed package declaration", 1), ("second package declaration", 2)],
+        ),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -997,6 +1015,24 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
              (IdentifierKind.CLASS, "b.A", 3)],
         ),
         ("class A {} }", [(IdentifierKind.CLASS, "A")]),
+        # javac rejects these as well; their names are kept as the token parser reads them
+        (
+            "package a b;\nclass A {}",
+            [(IdentifierKind.PACKAGE, "a.b", 1), (IdentifierKind.CLASS, "a.b.A", 2)],
+        ),
+        (
+            "package a..b;\nclass A {}",
+            [(IdentifierKind.PACKAGE, "a.b", 1), (IdentifierKind.CLASS, "a.b.A", 2)],
+        ),
+        (
+            "package a.*;\nclass A {}",
+            [(IdentifierKind.PACKAGE, "a", 1), (IdentifierKind.CLASS, "a.A", 2)],
+        ),
+        (
+            "package a;\nclass A {}\n/* c */\npackage b;\nclass B {}",
+            [(IdentifierKind.PACKAGE, "a", 1), (IdentifierKind.CLASS, "a.A", 2),
+             (IdentifierKind.PACKAGE, "b", 4), (IdentifierKind.CLASS, "b.B", 5)],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -1019,7 +1055,9 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "package_over_several_lines", "commented_package_name", "static_on_demand_import",
          "commented_type_header", "annotated_type_header", "generic_type_header",
          "enum_constants_then_member", "two_top_level_types", "unterminated_comment_before_type",
-         "two_package_declarations", "unmatched_brace_after_type"],
+         "two_package_declarations", "unmatched_brace_after_type", "package_name_with_a_space",
+         "package_name_with_two_dots", "on_demand_package_name",
+         "package_declaration_after_a_type"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
@@ -1032,7 +1070,14 @@ def test_top_level_non_sealed_type_is_extracted(source, expected):
 #: The diagnostics of the rows above that get any; every other row gets none.
 _TOP_LEVEL_DIAGNOSTICS = {
     "/*\nclass A {}": [("unterminated block comment", 1)],
+    "package a;\npackage b;\nclass A {}": [("second package declaration", 2)],
     "class A {} }": [("unmatched '}' at top level", 1)],
+    "package a b;\nclass A {}": [("malformed package declaration", 1)],
+    "package a..b;\nclass A {}": [("malformed package declaration", 1)],
+    "package a.*;\nclass A {}": [("malformed package declaration", 1)],
+    "package a;\nclass A {}\n/* c */\npackage b;\nclass B {}": [
+        ("second package declaration", 4)
+    ],
 }
 
 

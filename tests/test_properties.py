@@ -6,6 +6,7 @@ at least 1000 generated cases.
 """
 
 import html
+import json
 import string
 
 from hypothesis import example, given, settings, strategies as st
@@ -28,7 +29,18 @@ from codecloud import (
     split_identifier,
     stem_word,
 )
-from codecloud.evaluator import EvalRow, _naive_split, _split_batch, oracle_words
+from codecloud.evaluator import (
+    _BATCH,
+    EvalReport,
+    EvalRow,
+    _naive_split,
+    _naive_stem,
+    _split_batch,
+    oracle_words,
+    report_to_json,
+    report_to_json_dict,
+    tally_oracle,
+)
 from codecloud.extractor import _KEYWORDS_NEVER_NAMES, _MODIFIERS
 from codecloud.renderer import _ESCAPES, layout_cloud, text_width
 
@@ -213,6 +225,71 @@ def test_one_pass_counts_equal_per_tag_scans(entries, kind, stop_words_enabled):
         assert row.oracle_frequency == oracle_frequency(
             row.stem, selected, LEXICON, stop_words_enabled
         )
+
+
+#: More identifiers than one oracle batch holds, of every kind, with names that
+#: share stems, hold stop words or acronyms, or have no letters.
+_EVERY_KIND = [
+    (name, kind)
+    for kind in IdentifierKind
+    for name in ("getXMLNames", "theNameOf", "names2Html", "_$9", "isEmpty", "HTTPServer")
+] * (_BATCH // 24 + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.one_of(identifier_names, _lexicon_names), _KINDS), max_size=30),
+    st.integers(min_value=1, max_value=20),
+    st.sampled_from(list(CloudKind)),
+    st.booleans(),
+)
+@example(_EVERY_KIND, 1, CloudKind.ALL, True)
+@example(_EVERY_KIND, 2, CloudKind.METHOD, False)
+def test_tally_names_the_identifiers_of_each_oracle_stem_in_corpus_order(
+    entries, copies, kind, stop_words_enabled
+):
+    ids = [
+        Identifier(ident_kind, name, f"p{index}.{name}", "G.java", 1)
+        for index, (name, ident_kind) in enumerate(entries * copies)
+    ]
+    dropped = LEXICON.stop_words if stop_words_enabled else frozenset()
+    expected: dict[str, list[str]] = {}
+    for identifier in ids:
+        if kind is CloudKind.ALL or identifier.kind.name == kind.name:
+            words = _naive_split(identifier.simple_name)
+            stems = {_naive_stem(word, LEXICON) for word in words} - dropped
+            assert oracle_words(identifier.simple_name, LEXICON, stop_words_enabled) == stems
+            for stem in stems:
+                expected.setdefault(stem, []).append(identifier.qualified_name)
+    tally: dict[str, list[str]] = {}
+    assert list(tally_oracle(iter(ids), tally, LEXICON, kind, stop_words_enabled)) == ids
+    assert tally == expected
+
+
+_FREQUENCIES = st.integers(min_value=0, max_value=10**6)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_TRICKY_TEXT = 'a"b\\c\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.text(),
+    st.lists(
+        st.one_of(
+            st.builds(EvalRow.from_frequencies, st.text(), _FREQUENCIES, _FREQUENCIES,
+                      st.none() | _FREQUENCIES),
+            st.builds(EvalRow, st.text(), _FREQUENCIES, _FREQUENCIES, _FINITE, _FINITE, _FINITE),
+        ),
+        max_size=6,
+    ),
+)
+@example("", [])
+@example(_TRICKY_TEXT, [EvalRow.from_frequencies(_TRICKY_TEXT, 3, 2)])
+@example("c", [EvalRow("s", 0, 10**6, -0.0, 1e-300, 1.7976931348623157e308)])
+def test_streamed_json_report_equals_json_dumps(corpus_label, rows):
+    report = EvalReport(corpus_label, tuple(rows))
+    expected = json.dumps(report_to_json_dict(report), indent=2, sort_keys=True) + "\n"
+    assert "".join(report_to_json(report)) == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,7 +7,8 @@ next to the working tree's copy and runs both on every ``.java`` file under
 each ROOT and on N seeded token soups: random sequences of Java keywords,
 names, punctuation, literals, comments, member-shaped pieces such as
 ``int m() {`` and header-shaped ones such as ``package a.b;`` and
-``public class A {``, after an opening that leaves a class, enum, interface
+``public class A {`` (malformed package names such as ``package a..b;``
+among them), after an opening that leaves a class, enum, interface
 or method body open.  For each source it prints how many inputs give
 different identifiers and how many give different diagnostics, followed by
 the first few differences, and it exits with status 1 when any input differs.
@@ -43,6 +44,7 @@ _TOKENS = (
 ).split(" ") + [
     "int m() {", "m() {", "a / b", "/** } */", "'{'", "package a.b;", "import a.*;",
     "import static a.B.c;", "/** d */", "public class A {", "enum E {",
+    "package a b;", "package a..b;", "package a.*;", "\npackage c;\n",
 ]
 
 
