@@ -9,7 +9,8 @@ constructor.  The lexer stops after each ';', '{' and '}', so once a
 declaration ends the parser has used every token lexed.  Where it has, the
 common shapes are taken from one anchored regex match each without being
 tokenized: a member of a type body (ASCII names, dims and dots, then a
-parameter list, ';' or a simple initializer), the '}' that closes a body,
+parameter list, or field declarators separated by commas, each with dims
+and a simple initializer or none), the '}' that closes a body,
 and at the top level, after any comments, a package declaration, an import,
 or a type header of modifiers, keyword, ASCII name and dotted supertypes.
 Every other form goes to the token parser, with the same result either way.
@@ -184,24 +185,42 @@ _is_name = re.compile(r"[^\W\d]|\$").match
 #: An ASCII name that is not a type keyword, followed by a character that
 #: ends a name and may follow one in a member header.
 _HEADER_NAME = (
-    r"(?!(?:class|interface|enum|record)[\s.\[\](;=])[A-Za-z_$][A-Za-z0-9_$]*+(?=[\s.\[\](;=])"
+    r"(?!(?:class|interface|enum|record)ENDS)[A-Za-z_$][A-Za-z0-9_$]*+(?=ENDS)"
+    .replace("ENDS", r"[\s.\[\](;=,]")
 )
+
+#: A simple initializer: '=', then a one-line string without escapes, a
+#: decimal run or a name.
+_INIT = r"""=\s*+(?:"[^"\\\n]*+"|[0-9]++|[A-Za-z_$][A-Za-z0-9_$]*+)\s*+"""
+
+#: A field declarator after the first: ',', the ``next`` name, its dims and
+#: a simple initializer.
+_DECLARATOR = (
+    r",\s*+(?P<next>NAME)\s*+(?:\[\s*+\]\s*+)*+(?:INIT)?+"
+    .replace("INIT", _INIT)
+    .replace("NAME", _HEADER_NAME)
+)
+_DECLARATOR_RE = re.compile(_DECLARATOR)
 
 #: The common member header, whole, at the start of a member: names, '.',
 #: '[' and ']' with no comments between them, then a parameter list that
 #: holds no brackets, literals, comments or braces and is followed by ';' or
-#: a body's '{'; or ';'; or '=', a one-line string without escapes, a decimal
-#: run or a name, and ';'.  ``name`` is the last name of the run, the
-#: member's own, since only dims may follow it.  Nothing backtracks: the run
-#: of names, '.', '[' and ']' is one possessive loop, which loses no match
-#: because no item of the run can start what follows it.  The loop keeps the
-#: last name it took, and the conditional after it refuses a run that holds
-#: no name, such as the stray ';' of ``int x;;``.
+#: a body's '{'; or an optional simple initializer, an optional ``tail`` of
+#: further declarators, each with dims and an optional simple initializer of
+#: its own, and ';'.  ``name`` is the last name of the run, the member's
+#: own, since only dims may follow it.  Nothing backtracks: the run of names,
+#: '.', '[' and ']' is one possessive loop, which loses no match because no
+#: item of the run can start what follows it, and the initializers and the
+#: tail are possessive too, so a tail that fails costs time linear in its
+#: length.  The loop keeps the last name it took, and the conditional after
+#: it refuses a run that holds no name, such as the stray ';' of ``int x;;``.
 _MEMBER_RE = re.compile(
     r"""\s*(?:[.\[\]]\s*|(?P<name>NAME)\s*)*+(?(name)|(?!))
     (?: (?P<params>\([^()"'/{}]*\))\s*(?:;|(?P<body>\{))
-      | (?P<init>=\s*(?:"[^"\\\n]*"|[0-9]+|[A-Za-z_$][A-Za-z0-9_$]*)\s*)?;
-    )""".replace("NAME", _HEADER_NAME),
+      | (?:INIT)?+(?P<tail>(?:DECLARATOR)++)?+;
+    )""".replace("DECLARATOR", _DECLARATOR)
+    .replace("INIT", _INIT)
+    .replace("NAME", _HEADER_NAME),
     re.VERBOSE,
 )
 
@@ -484,17 +503,41 @@ class _Extraction:
     def _take_member(self) -> bool:
         """Emit the member at ``lexed_to`` if :data:`_MEMBER_RE` matches it whole.
 
-        A member named by a keyword is left to the token parser.
+        Each declarator of its tail is read with :data:`_DECLARATOR_RE` and
+        emitted at its own name's line.  A member with a declarator named by
+        a keyword is left to the token parser.  No offset here precedes the
+        latest line lookup, so the line count only moves forward, and each
+        identifier is built by ``tuple.__new__``, without the Python frame
+        of ``Identifier.__new__``.
         """
-        match = _MEMBER_RE.match(self.text, self.lexed_to)
+        text = self.text
+        match = _MEMBER_RE.match(text, self.lexed_to)
         if match is None:
             return False
         name, params, body = match.group("name", "params", "body")
         if name in _KEYWORDS_NEVER_NAMES:
             return False
+        scope = self.bodies[-1][0]
+        path = self.path
+        out = self.out
+        at = match.start("name")
+        line = self.line + text.count("\n", self.line_at, at)
         kind = _ATTRIBUTE if params is None else _METHOD
-        line = self._line(match.start("name"))
-        self.out.append(Identifier(kind, name, self.bodies[-1][0] + name, self.path, line))
+        out.append(tuple.__new__(Identifier, (kind, name, scope + name, path, line)))
+        if (next_at := match.start("tail")) >= 0:
+            first = len(out) - 1
+            while declarator := _DECLARATOR_RE.match(text, next_at):
+                name = declarator.group("next")
+                if name in _KEYWORDS_NEVER_NAMES:
+                    del out[first:]
+                    return False
+                start = declarator.start("next")
+                line += text.count("\n", at, start)
+                at = start
+                out.append(tuple.__new__(Identifier, (_ATTRIBUTE, name, scope + name, path, line)))
+                next_at = declarator.end()
+        self.line_at = at
+        self.line = line
         self.lexed_to = end = match.end()
         if body is not None:
             self._skip_body(end - 1)  # the body's '{' ends the match

@@ -49,10 +49,14 @@ def test_multi_declarator_field():
 
 
 def test_long_field_is_scanned_in_linear_time(monkeypatch):
-    """The run after a comma is scanned once, not again for each comma in it."""
+    """The run after a comma is scanned once, not again for each comma in it.
+
+    The call in the first initializer sends the member to the token parser.
+    """
     count = 20_000
-    source = "class A { int " + ", ".join(f"a{index}" for index in range(count)) + "; }"
-    tokens = 2 * count + 5
+    source = "class A { int a0 = f(), " + ", ".join(f"a{index}" for index in range(1, count))
+    source += "; }"
+    tokens = 2 * count + 9
     peeks = 0
     peek = _Extraction._peek
 
@@ -66,6 +70,7 @@ def test_long_field_is_scanned_in_linear_time(monkeypatch):
     ids, diagnostics = extract_identifiers(_unit(source))
     assert [i.simple_name for i in ids] == ["A"] + [f"a{index}" for index in range(count)]
     assert diagnostics == []
+    assert peeks > count  # the token parser scanned the run
 
 
 class _CountedPattern:
@@ -120,6 +125,7 @@ _MALFORMED_SHAPES = {
     "dots_after_import": lambda n: "import " + "a." * n,
     "commas_in_type_header": lambda n: "class A " + "b, " * n + "<",
     "closing_braces_after_type": lambda n: "class A { " + "} " * n,
+    "declarators_then_plus": lambda n: "class A { int a" + ", b" * n + " + }",
 }
 
 
@@ -140,7 +146,7 @@ def _parser_calls(monkeypatch, source):
     counts = Counter()
     _count_methods(monkeypatch, counts, ("_fill", "_peek"))
     patterns = {}
-    for name in ("_MEMBER_RE", "_GAP_RE", "_HEADER_RE", "_CLOSE_RE"):
+    for name in ("_MEMBER_RE", "_DECLARATOR_RE", "_GAP_RE", "_HEADER_RE", "_CLOSE_RE"):
         patterns[name] = _CountedPattern(getattr(extractor, name))
         monkeypatch.setattr(extractor, name, patterns[name])
     extract_identifiers(_unit(source))
@@ -156,6 +162,41 @@ def test_malformed_source_costs_calls_linear_in_its_length(monkeypatch, shape):
     large = _parser_calls(monkeypatch, shape(20_000))
     for name, calls in large.items():
         assert calls <= 2 * small[name] + 10, name
+
+
+def test_long_declarator_list_takes_the_fast_path_in_linear_time(monkeypatch):
+    """One member match takes the whole list, and one declarator match each emits the rest."""
+    count = 20_000
+    source = "class A {\n int " + ",\n ".join(f"a{index}" for index in range(count)) + "; }"
+    calls = _parser_calls(monkeypatch, source)
+    assert calls["_MEMBER_RE"] == 2  # the list, then the '}' that closes the body
+    assert calls["_DECLARATOR_RE"] == count  # each declarator after the first, then ';'
+    assert calls["_peek"] == 0
+    ids, diagnostics = extract_identifiers(_unit(source))
+    assert [(i.simple_name, i.line) for i in ids] == [("A", 1)] + [
+        (f"a{index}", index + 2) for index in range(count)
+    ]
+    assert diagnostics == []
+
+
+def test_declarator_lists_take_the_fast_path(monkeypatch):
+    """A class body in the shapes of the benchmark's `vocab` tree, `long a, b;`
+    among them, reaches no ``_parse_member`` call."""
+    lines = [
+        "    private int count{};",
+        '    protected String label{} = "value";',
+        "    long first{0}, second{0};",
+        "    public abstract void reset{}(int count);",
+        "    protected abstract String lookup{}(String key, int limit);",
+    ]
+    members = [lines[index % 5].format(index) for index in range(100)]
+    source = "package p;\n\npublic abstract class A {\n" + "\n".join(members) + "\n}\n"
+    counts = Counter()
+    _count_methods(monkeypatch, counts, ("_parse_member",))
+    ids, diagnostics = extract_identifiers(_unit(source))
+    assert len(ids) == 2 + 120
+    assert diagnostics == []
+    assert counts["_parse_member"] == 0
 
 
 def test_members_after_a_nested_type_take_the_fast_path(monkeypatch):

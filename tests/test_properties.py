@@ -6,6 +6,7 @@ at least 1000 generated cases.
 """
 
 import html
+import itertools
 import json
 import string
 
@@ -408,15 +409,19 @@ _initializers = st.one_of(
 )
 
 
+#: What may stand before or after a declarator's comma.
+_comma_gaps = st.sampled_from(["", " ", "\n", "\n    "])
+
+
 @st.composite
 def _common_members(draw):
-    """One member in the shape the header fast path takes: (head, name, tail, kind)."""
+    """One member in the shape the header fast path takes: its head, and each
+    declarator's kind, name and the text after the name."""
     sep = draw(_separators)
     head = "".join(modifier + sep for modifier in draw(
         st.lists(st.sampled_from(_MEMBER_MODIFIERS.split()), max_size=3)
     ))
     head += draw(_types) + sep
-    name = draw(_member_names)
     if draw(st.booleans()):  # a method
         params = ", ".join(f"{type_} {arg}" for type_, arg in draw(
             st.lists(st.tuples(_types, _member_names), max_size=3)
@@ -425,34 +430,47 @@ def _common_members(draw):
             tail = ";"
         else:
             tail = " {" + sep.join(draw(st.lists(_BODY_PIECES, max_size=4))) + "}"
-        return head, name, f"({params}){tail}", IdentifierKind.METHOD
-    tail = draw(st.sampled_from(["", "[]", " [] []"]))
-    if draw(st.booleans()):
-        tail += sep + "=" + sep + draw(_initializers)
-    return head, name, tail + sep + ";", IdentifierKind.ATTRIBUTE
+        return head, [(IdentifierKind.METHOD, draw(_member_names), f"({params}){tail}")]
+    names = draw(st.lists(_member_names, min_size=1, max_size=3))
+    declarators = []
+    for index, name in enumerate(names):
+        tail = draw(st.sampled_from(["", "[]", " [] []"]))
+        if draw(st.booleans()):
+            tail += sep + "=" + sep + draw(_initializers)
+        if index == len(names) - 1:
+            tail += sep + ";"
+        else:
+            tail += draw(_comma_gaps) + "," + draw(_comma_gaps)
+        declarators.append((IdentifierKind.ATTRIBUTE, name, tail))
+    return head, declarators
 
 
-def _type_body(members, prefix):
-    """``class A`` holding ``members``, and each member's (kind, name, line)."""
+def _type_body(members, prefixes):
+    """``class A`` holding ``members``, each after the next of ``prefixes`` in
+    turn, and each declarator's (kind, name, line)."""
     source = "class A {\n"
     expected = [(IdentifierKind.CLASS, "A", 1)]
-    for head, name, tail, kind in members:
+    for (head, declarators), prefix in zip(members, itertools.cycle(prefixes)):
         source += "    " + prefix + head
-        expected.append((kind, f"A.{name}", source.count("\n") + 1))
-        source += name + tail + "\n"
+        for kind, name, tail in declarators:
+            expected.append((kind, f"A.{name}", source.count("\n") + 1))
+            source += name + tail
+        source += "\n"
     return source + "}\n", expected
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(_common_members(), min_size=1, max_size=20))
 def test_member_header_fast_path_equals_token_parser(members):
-    source, expected = _type_body(members, "")
+    source, expected = _type_body(members, [""])
     ids, diagnostics = extract_identifiers(SourceUnit("A.java", source))
     assert [(i.kind, i.qualified_name, i.line) for i in ids] == expected
     assert diagnostics == []
-    # a comment before a member sends it to the token parser instead
-    commented, _ = _type_body(members, "/**/")
-    assert extract_identifiers(SourceUnit("A.java", commented)) == (ids, diagnostics)
+    # a comment before a member sends it to the token parser instead, and the
+    # two may take turns, each counting lines on from where the other stopped
+    for prefixes in (["/**/"], ["", "/**/"]):
+        commented, _ = _type_body(members, prefixes)
+        assert extract_identifiers(SourceUnit("A.java", commented)) == (ids, diagnostics)
 
 
 _dots = st.sampled_from([".", " . ", "\n.", ".\n  "])
@@ -502,10 +520,12 @@ def _java_files(draw):
             line = source.count("\n")
             expected += [(IdentifierKind.ATTRIBUTE, f"{package}.{name}.{constant}", line)
                          for constant in constants]
-        for head, member, tail, kind in draw(st.lists(_common_members(), max_size=5)):
+        for head, declarators in draw(st.lists(_common_members(), max_size=5)):
             source += "    " + head
-            expected.append((kind, f"{package}.{name}.{member}", source.count("\n") + 1))
-            source += member + tail + "\n"
+            for kind, member, tail in declarators:
+                expected.append((kind, f"{package}.{name}.{member}", source.count("\n") + 1))
+                source += member + tail
+            source += "\n"
         source += "}\n"
     return source, expected
 

@@ -8,7 +8,8 @@ each ROOT and on N seeded token soups: random sequences of Java keywords,
 names, punctuation, literals, comments, member-shaped pieces such as
 ``int m() {`` and header-shaped ones such as ``package a.b;`` and
 ``public class A {`` (malformed package names such as ``package a..b;``
-among them), after an opening that leaves a class, enum, interface
+among them) and pieces of declarator lists such as ``int a, b;`` and
+``b[] = 2,``, after an opening that leaves a class, enum, interface
 or method body open.  For each source it prints how many inputs give
 different identifiers and how many give different diagnostics, followed by
 the first few differences, and it exits with status 1 when any input differs.
@@ -45,6 +46,7 @@ _TOKENS = (
     "int m() {", "m() {", "a / b", "/** } */", "'{'", "package a.b;", "import a.*;",
     "import static a.B.c;", "/** d */", "public class A {", "enum E {",
     "package a b;", "package a..b;", "package a.*;", "\npackage c;\n",
+    "int a, b;", "a,", "b[] = 2,", '= "x, y",',
 ]
 
 
