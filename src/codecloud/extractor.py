@@ -261,6 +261,8 @@ _CONSTANT_ENDS = frozenset(",;}({")
 #: and the tokens that may end that run; "" is the end of the file.
 _DECLARATOR_RUN = frozenset(",[]@.")
 _DECLARATOR_RUN_ENDS = frozenset(("=", ";", "}", ""))
+#: The diagnostic of a file's first package declaration when it comes late.
+_PACKAGE_AFTER = "package declaration after an import or type"
 
 
 class _Extraction:
@@ -300,6 +302,7 @@ class _Extraction:
         self.pos = 0
         self.bodies: list[tuple[str, int, bool, str]] = []
         self.package = ""
+        self.declared = False  # whether an import or a type came at the top level
         self.out: list[Identifier] = []
         self.lexer_diagnostics: list[Diagnostic] = []
         self.parser_diagnostics: list[Diagnostic] = []
@@ -474,11 +477,13 @@ class _Extraction:
             elif value == "package":
                 self._parse_package()
             elif value == "import":
+                self.declared = True
                 self.pos += 1
                 self._skip_statement()
             elif value == "module" or value == "open" and self._peek(1) == "module":
                 self._skip_statement()  # a module declaration: its name, then its body
             elif self._at_type(value):
+                self.declared = True
                 self._parse_type(self.package)
             elif value in _MODIFIERS or value == ";":
                 self.pos += 1
@@ -559,6 +564,8 @@ class _Extraction:
         if match is None:
             return False
         qualified, name = match.group("qualified", "name")
+        if qualified is None:  # an import or a type
+            self.declared = True
         if name is not None:
             scope = self.package
             line = self._line(match.start("name"))
@@ -570,6 +577,8 @@ class _Extraction:
             line = self._line(match.start("package"))
             if self.package:
                 self.parser_diagnostics.append(Diagnostic("second package declaration", line))
+            elif self.declared:
+                self.parser_diagnostics.append(Diagnostic(_PACKAGE_AFTER, line))
             simple = qualified.rpartition(".")[2]
             self.out.append(Identifier(_PACKAGE, simple, qualified, self.path, line))
             self.package = qualified + "."
@@ -579,8 +588,9 @@ class _Extraction:
     def _parse_package(self) -> None:
         """Parse a package declaration; cursor on ``package``.
 
-        A malformed or second declaration is diagnosed and emitted all the
-        same: as the names in it joined by dots, scoping the types after it.
+        A malformed or second declaration, or one after an import or a type,
+        is diagnosed and emitted all the same: as the names in it joined by
+        dots, scoping the types after it.
         """
         start = self.pos
         self.pos += 1
@@ -595,6 +605,8 @@ class _Extraction:
             return
         if self.package:
             self._diag("second package declaration", start)
+        elif self.declared:
+            self._diag(_PACKAGE_AFTER, start)
         if value != ";" or " ".join(run) != " . ".join(segments):  # not `a.b.c;`
             self._diag("malformed package declaration", start)
         prefix = "".join(segment + "." for segment in segments[:-1])

@@ -749,7 +749,11 @@ def _body_at_depth(depth, statement):
         ),
         # javac rejects a package name that is not names joined by single dots, and
         # a second package declaration, wherever it comes and whichever path takes it
-        ("class A {}\npackage a b;", [("malformed package declaration", 2)]),
+        (
+            "class A {}\npackage a b;",
+            [("package declaration after an import or type", 2),
+             ("malformed package declaration", 2)],
+        ),
         ("package a..b;", [("malformed package declaration", 1)]),
         ("package a.*;", [("malformed package declaration", 1)]),
         ("package .a;", [("malformed package declaration", 1)]),
@@ -765,6 +769,18 @@ def _body_at_depth(depth, statement):
             "package a b;\npackage c;",
             [("malformed package declaration", 1), ("second package declaration", 2)],
         ),
+        # javac rejects a package declaration after an import or a type, whichever
+        # path takes either
+        *[
+            (source, [("package declaration after an import or type", 2)])
+            for source in [
+                "class A {}\npackage b;\nclass B {}",
+                "import x.Y;\npackage b;\nclass B {}",
+                "@A class A {}\npackage b;",
+                "import static /* c */ x.Y;\npackage b;",
+                "import x.Y;\npackage /* c */ b;",
+            ]
+        ],
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
