@@ -721,7 +721,7 @@ class _Extraction:
                     self._skip_balanced()
                     self._finish_method(params_at)
                 elif value == "=" or value == ",":
-                    if name is not None:
+                    if name is not None and name not in _KEYWORDS_NEVER_NAMES:
                         self._emit(IdentifierKind.ATTRIBUTE, name, scope, name_at)
                     first_at = self.pos if name is None else name_at
                     self.pos += 1

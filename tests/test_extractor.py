@@ -946,11 +946,9 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
              (IdentifierKind.ATTRIBUTE, "A.y"), (IdentifierKind.ATTRIBUTE, "A.o"),
              (IdentifierKind.ATTRIBUTE, "A.p"), (IdentifierKind.ATTRIBUTE, "A.q")],
         ),
-        # forms on the edge of the member-header fast path
-        (
-            "class A { int new = 1; }",
-            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.new")],
-        ),
+        # forms on the edge of the member-header fast path; a keyword names no
+        # field before '=' either
+        ("class A { int new = 1; }", [(IdentifierKind.CLASS, "A")]),
         ("class A { int default; }", [(IdentifierKind.CLASS, "A")]),
         (
             "interface I { default void m() {} }",
@@ -1090,6 +1088,15 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             [(IdentifierKind.PACKAGE, "a", 1), (IdentifierKind.CLASS, "a.A", 2),
              (IdentifierKind.PACKAGE, "b", 4), (IdentifierKind.CLASS, "b.B", 5)],
         ),
+        # a keyword names no field before a declarator comma either
+        (
+            "class A { int this, b; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.b")],
+        ),
+        (
+            "class A { int new = 1, b; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.b")],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -1114,7 +1121,8 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "enum_constants_then_member", "two_top_level_types", "unterminated_comment_before_type",
          "two_package_declarations", "unmatched_brace_after_type", "package_name_with_a_space",
          "package_name_with_two_dots", "on_demand_package_name",
-         "package_declaration_after_a_type"],
+         "package_declaration_after_a_type", "keyword_before_declarator_comma",
+         "initialized_keyword_before_declarator_comma"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
