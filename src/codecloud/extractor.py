@@ -194,13 +194,14 @@ _HEADER_NAME = (
 _INIT = r"""=\s*+(?:"[^"\\\n]*+"|[0-9]++|[A-Za-z_$][A-Za-z0-9_$]*+)\s*+"""
 
 #: A field declarator after the first: ',', the ``next`` name, its dims and
-#: a simple initializer.
-_DECLARATOR = (
-    r",\s*+(?P<next>NAME)\s*+(?:\[\s*+\]\s*+)*+(?:INIT)?+"
+#: a simple initializer.  The name needs none of :data:`_HEADER_NAME`'s
+#: lookarounds: only what may follow it can end it, the caller refuses the
+#: keywords ``class``, ``interface`` and ``enum``, and the token parser too
+#: takes ``record`` here as a field's name.
+_DECLARATOR_RE = re.compile(
+    r",\s*+(?P<next>[A-Za-z_$][A-Za-z0-9_$]*+)\s*+(?:\[\s*+\]\s*+)*+(?:INIT)?+"
     .replace("INIT", _INIT)
-    .replace("NAME", _HEADER_NAME)
 )
-_DECLARATOR_RE = re.compile(_DECLARATOR)
 
 #: The common member header, whole, at the start of a member: names, '.',
 #: '[' and ']' with no comments between them, then a parameter list that
@@ -218,7 +219,7 @@ _MEMBER_RE = re.compile(
     r"""\s*(?:[.\[\]]\s*|(?P<name>NAME)\s*)*+(?(name)|(?!))
     (?: (?P<params>\([^()"'/{}]*\))\s*(?:;|(?P<body>\{))
       | (?:INIT)?+(?P<tail>(?:DECLARATOR)++)?+;
-    )""".replace("DECLARATOR", _DECLARATOR)
+    )""".replace("DECLARATOR", _DECLARATOR_RE.pattern)
     .replace("INIT", _INIT)
     .replace("NAME", _HEADER_NAME),
     re.VERBOSE,
