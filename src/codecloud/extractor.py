@@ -13,7 +13,9 @@ parameter list, or field declarators separated by commas, each with dims
 and a simple initializer or none), the '}' that closes a body,
 and at the top level, after any comments, a package declaration, an import,
 or a type header of modifiers, keyword, ASCII name and dotted supertypes.
-Every other form goes to the token parser, with the same result either way.
+Every other form, and any that needs a diagnostic, goes to the token parser,
+which alone decides and diagnoses: ``test_fast_path_changes_no_output``
+checks that switching the fast path off changes no output.
 Method bodies, initializer blocks and brace initializers
 (anonymous class bodies included) are skipped without being tokenized: one
 regex match crosses everything up to the next brace outside comments and
@@ -262,8 +264,6 @@ _CONSTANT_ENDS = frozenset(",;}({")
 #: and the tokens that may end that run; "" is the end of the file.
 _DECLARATOR_RUN = frozenset(",[]@.")
 _DECLARATOR_RUN_ENDS = frozenset(("=", ";", "}", ""))
-#: The diagnostic of a file's first package declaration when it comes late.
-_PACKAGE_AFTER = "package declaration after an import or type"
 
 
 class _Extraction:
@@ -282,8 +282,9 @@ class _Extraction:
     :data:`_CLOSE_RE` then takes the '}' that closes it.  At the top level,
     :meth:`_take_header` skips comments with :data:`_GAP_RE` and tries
     :data:`_HEADER_RE`.  A match is emitted as the token parser would emit
-    it, so no tokens are lexed for it; anything else is left to the token
-    parser.
+    it, so no tokens are lexed for it; anything else, a match that would
+    need a diagnostic included, is left to the token parser
+    (``test_fast_path_changes_no_output`` checks that both ways agree).
 
     ``scope`` arguments are the qualified-name prefix of the enclosing package
     and types: their names, each followed by '.'.
@@ -567,6 +568,8 @@ class _Extraction:
         qualified, name = match.group("qualified", "name")
         if qualified is None:  # an import or a type
             self.declared = True
+        elif self.package or self.declared:  # a package the token parser diagnoses
+            return False
         if name is not None:
             scope = self.package
             line = self._line(match.start("name"))
@@ -576,10 +579,6 @@ class _Extraction:
         elif qualified is not None:  # a package; an import emits nothing
             qualified = "".join(qualified.split())
             line = self._line(match.start("package"))
-            if self.package:
-                self.parser_diagnostics.append(Diagnostic("second package declaration", line))
-            elif self.declared:
-                self.parser_diagnostics.append(Diagnostic(_PACKAGE_AFTER, line))
             simple = qualified.rpartition(".")[2]
             self.out.append(Identifier(_PACKAGE, simple, qualified, self.path, line))
             self.package = qualified + "."
@@ -607,11 +606,11 @@ class _Extraction:
         if self.package:
             self._diag("second package declaration", start)
         elif self.declared:
-            self._diag(_PACKAGE_AFTER, start)
+            self._diag("package declaration after an import or type", start)
         if value != ";" or " ".join(run) != " . ".join(segments):  # not `a.b.c;`
             self._diag("malformed package declaration", start)
         prefix = "".join(segment + "." for segment in segments[:-1])
-        self._emit(IdentifierKind.PACKAGE, segments[-1], prefix, start)
+        self._emit(_PACKAGE, segments[-1], prefix, start)
         self.package = prefix + segments[-1] + "."
 
     def _parse_type(self, scope: str) -> None:
@@ -626,7 +625,7 @@ class _Extraction:
             return
         name_at = self.pos
         self.pos += 1
-        self._emit(IdentifierKind.CLASS, name, scope, name_at)
+        self._emit(_CLASS, name, scope, name_at)
 
         # Skim the header (generics, extends/implements/permits, record
         # components) up to the body.
@@ -665,7 +664,7 @@ class _Extraction:
         elif value == ",":
             self.pos += 1
         elif _is_name(value) and self._peek(1) in _CONSTANT_ENDS:
-            self._emit(IdentifierKind.ATTRIBUTE, value, scope, self.pos)
+            self._emit(_ATTRIBUTE, value, scope, self.pos)
             self.pos += 1
             if self._peek() == "(":
                 self._skip_balanced()
@@ -717,24 +716,21 @@ class _Extraction:
                         self._skip_balanced()
                         self._skip_statement()
                         return
-                    self._emit(IdentifierKind.METHOD, name, scope, name_at)
+                    self._emit(_METHOD, name, scope, name_at)
                     params_at = self.pos
                     self._skip_balanced()
                     self._finish_method(params_at)
-                elif value == "=" or value == ",":
+                elif value == "=" or value == "," or value == ";":
                     if name is not None and name not in _KEYWORDS_NEVER_NAMES:
-                        self._emit(IdentifierKind.ATTRIBUTE, name, scope, name_at)
-                    first_at = self.pos if name is None else name_at
+                        self._emit(_ATTRIBUTE, name, scope, name_at)
                     self.pos += 1
-                    self._finish_field_declarators(scope, value == ",", first_at)
-                elif value == ";":
-                    if name is not None and name not in _KEYWORDS_NEVER_NAMES:
-                        self._emit(IdentifierKind.ATTRIBUTE, name, scope, name_at)
-                    self.pos += 1
+                    if value != ";":
+                        first_at = self.pos - 1 if name is None else name_at
+                        self._finish_field_declarators(scope, value == ",", first_at)
                 elif value == "{":
                     if name == record and first_at == name_at == self.pos - 1:
                         # a compact constructor (JLS 8.10.4): modifiers, the name, '{'
-                        self._emit(IdentifierKind.METHOD, name, scope, name_at)
+                        self._emit(_METHOD, name, scope, name_at)
                     # static/instance initializer block (or recovery)
                     elif name is not None and name not in _MODIFIERS:
                         self._diag(f"unexpected '{{' after {name!r}", self.pos)
@@ -794,7 +790,7 @@ class _Extraction:
             value = self.tokens[self.pos]
             if expect_name and _is_name(value):
                 if value not in _KEYWORDS_NEVER_NAMES:
-                    self._emit(IdentifierKind.ATTRIBUTE, value, scope, self.pos)
+                    self._emit(_ATTRIBUTE, value, scope, self.pos)
                 expect_name = False
             elif value in _OPEN_TO_CLOSE or value == "{":
                 self._skip_balanced()

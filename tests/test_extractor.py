@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +19,10 @@ from codecloud import (
 )
 from codecloud import extractor
 from codecloud.extractor import IDENTIFIER_RE, _Extraction, identifier_to_dict
+
+REPO = Path(__file__).parent.parent
+sys.path.insert(0, str(REPO / "tools"))
+import extractor_diff  # noqa: E402  (the extractor comparison tool and its token soups)
 
 
 def _unit(text, path="Test.java"):
@@ -235,6 +241,21 @@ def test_comments_before_a_header_left_to_the_token_parser_are_scanned_once():
     extraction = _Extraction(_unit("/* a */ // b\n@A class B {}"))
     assert not extraction._take_header()
     assert extraction.text[extraction.lexed_to:] == "\n@A class B {}"
+
+
+def test_fast_path_changes_no_output(monkeypatch, big_corpus):
+    """The fast path only accelerates: it refuses whatever would need a
+    diagnostic, so with it switched off the token parser gives the same
+    identifiers and diagnostics for the fixtures, the generated tree and
+    random token soups."""
+    units = scan_tree(REPO / "tests" / "fixtures") + scan_tree(big_corpus.root)
+    units += [_unit(text) for seed in (1, 2) for text in extractor_diff.soups(2_000, seed)]
+    fast = [extract_identifiers(unit) for unit in units]
+    monkeypatch.setattr(_Extraction, "_take_member", lambda self: False)
+    monkeypatch.setattr(_Extraction, "_take_header", lambda self: False)
+    monkeypatch.setattr(extractor, "_CLOSE_RE", re.compile("(?!)"))
+    for unit, expected in zip(units, fast):
+        assert extract_identifiers(unit) == expected, unit.text[:300]
 
 
 def test_multi_declarator_with_initializers():
