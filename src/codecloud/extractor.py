@@ -648,7 +648,7 @@ class _Extraction:
                     return
                 if value == ";":
                     self.pos += 1
-                    return
+                    break
                 if value == "}":
                     break
             self.pos += 1

@@ -802,6 +802,15 @@ def _body_at_depth(depth, statement):
                 "import x.Y;\npackage /* c */ b;",
             ]
         ],
+        # javac expects '{' where ';' ends a type header
+        *[
+            (source, [(f"missing body for type {name!r}", 2)])
+            for source, name in [
+                ("\nclass A;\nclass B { int x; }", "A"),
+                ("class A {\n enum E;\n int x;\n}", "E"),
+                ("class A {}\nrecord R(int x);", "R"),
+            ]
+        ],
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -1158,6 +1167,7 @@ _TOP_LEVEL_DIAGNOSTICS = {
     "/*\nclass A {}": [("unterminated block comment", 1)],
     "package a;\npackage b;\nclass A {}": [("second package declaration", 2)],
     "class A {} }": [("unmatched '}' at top level", 1)],
+    "class A;\nclass B { int x; }": [("missing body for type 'A'", 1)],
     "package a b;\nclass A {}": [("malformed package declaration", 1)],
     "package a..b;\nclass A {}": [("malformed package declaration", 1)],
     "package a.*;\nclass A {}": [("malformed package declaration", 1)],
