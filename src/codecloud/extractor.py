@@ -48,11 +48,16 @@ _MODIFIERS = frozenset(
     "transient volatile strictfp default sealed".split()
 )
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
+#: The reserved keywords (JLS 3.9) and the literals ``true``, ``false`` and
+#: ``null``: no declaration is named by one.  Contextual keywords such as
+#: ``sealed`` and ``record`` are names.
 _KEYWORDS_NEVER_NAMES = frozenset(
-    "package import class interface enum extends implements throws new "
-    "return if else for while do switch case break continue try catch "
-    "finally throw this super instanceof void".split()
-) | _MODIFIERS
+    "abstract assert boolean break byte case catch char class const continue "
+    "default do double else enum extends final finally float for goto if "
+    "implements import instanceof int interface long native new package private "
+    "protected public return short static strictfp super switch synchronized this "
+    "throw throws transient try void volatile while _ true false null".split()
+)
 
 
 class CorpusError(Exception):
@@ -566,10 +571,10 @@ class _Extraction:
         if match is None:
             return False
         qualified, name = match.group("qualified", "name")
+        if name in _KEYWORDS_NEVER_NAMES or qualified and (self.package or self.declared):
+            return False  # left to the token parser, which diagnoses it
         if qualified is None:  # an import or a type
             self.declared = True
-        elif self.package or self.declared:  # a package the token parser diagnoses
-            return False
         if name is not None:
             scope = self.package
             line = self._line(match.start("name"))
@@ -619,7 +624,7 @@ class _Extraction:
         keyword = self.tokens[start]
         self.pos += 2 if keyword == "@" else 1  # '@' 'interface'
         name = self._peek()
-        if not _is_name(name):
+        if not _is_name(name) or name in _KEYWORDS_NEVER_NAMES:
             self._diag("type declaration without a name", start)
             self._skip_statement()
             return

@@ -811,6 +811,9 @@ def _body_at_depth(depth, statement):
                 ("class A {}\nrecord R(int x);", "R"),
             ]
         ],
+        # a reserved keyword names no type, on either path
+        ("\nclass new { int x; }", [("type declaration without a name", 2)]),
+        ("class A {\n interface int { }\n}", [("type declaration without a name", 2)]),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -1127,6 +1130,16 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             "class A { int new = 1, b; }",
             [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.b")],
         ),
+        # JLS 3.9: a contextual keyword names a member, a reserved one or a literal does not
+        (
+            "class A { int sealed; void sealed() { } }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.sealed"),
+             (IdentifierKind.METHOD, "A.sealed")],
+        ),
+        (
+            "class A { int int; int true; int goto; int _; int x; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.x")],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -1152,7 +1165,8 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "two_package_declarations", "unmatched_brace_after_type", "package_name_with_a_space",
          "package_name_with_two_dots", "on_demand_package_name",
          "package_declaration_after_a_type", "keyword_before_declarator_comma",
-         "initialized_keyword_before_declarator_comma"],
+         "initialized_keyword_before_declarator_comma", "contextual_keyword_names",
+         "reserved_keyword_and_literal_names"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
