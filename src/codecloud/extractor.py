@@ -302,7 +302,12 @@ class _Extraction:
 
     def __init__(self, unit: SourceUnit):
         self.path = unit.path
-        self.text = unit.text
+        text = unit.text
+        if "\r" in text:  # a lone CR ends a line (JLS 3.4); as LF it keeps every offset
+            text = re.sub(r"\r(?!\n)", "\n", text)
+        if text.endswith("\x1a"):  # a final Ctrl-Z is ignored (JLS 3.5)
+            text = text[:-1]
+        self.text = text
         self.lexed_to = 0  # offset where lexing resumes
         self.tokens: list[str] = []
         self.offsets: list[int] = []

@@ -1140,6 +1140,16 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             "class A { int int; int true; int goto; int _; int x; }",
             [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.x")],
         ),
+        # JLS 3.4 and 3.5: a lone CR ends a line, and a final Ctrl-Z is ignored
+        (
+            "package p;\r// note\rclass A {\r int x;\r void m() { }\r}\r",
+            [(IdentifierKind.PACKAGE, "p", 1), (IdentifierKind.CLASS, "p.A", 3),
+             (IdentifierKind.ATTRIBUTE, "p.A.x", 4), (IdentifierKind.METHOD, "p.A.m", 5)],
+        ),
+        (
+            "class A { int x; }\x1a",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.x")],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -1166,7 +1176,7 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "package_name_with_two_dots", "on_demand_package_name",
          "package_declaration_after_a_type", "keyword_before_declarator_comma",
          "initialized_keyword_before_declarator_comma", "contextual_keyword_names",
-         "reserved_keyword_and_literal_names"],
+         "reserved_keyword_and_literal_names", "cr_line_ends", "final_ctrl_z"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
@@ -1218,6 +1228,6 @@ def _check_extraction(text):
     """Extraction does not raise, and what it returns is well formed."""
     ids, diagnostics = extract_identifiers(_unit(text))
     assert all(IDENTIFIER_RE.fullmatch(i.simple_name) for i in ids)
-    last_line = text.count("\n") + 1
+    last_line = text.count("\n") + text.count("\r") - text.count("\r\n") + 1
     assert all(1 <= i.line <= last_line for i in ids)
     assert all(1 <= d.line <= last_line for d in diagnostics)

@@ -389,7 +389,7 @@ _member_names = st.text(
     string.ascii_letters + string.digits + "_$", min_size=1, max_size=9
 ).filter(lambda name: not name[0].isdigit() and name not in _KEYWORDS_NEVER_NAMES)
 _MEMBER_MODIFIERS = "public private protected static final abstract synchronized transient volatile"
-_separators = st.sampled_from([" ", "  ", "\n", "\n    "])
+_separators = st.sampled_from([" ", "  ", "\n", "\n    ", "\r"])
 _types = st.tuples(
     st.lists(st.sampled_from(["java", "util", "a", "b"]), max_size=2),
     st.sampled_from(["int", "long", "String", "Object", "Map", "T"]),
@@ -445,6 +445,11 @@ def _common_members(draw):
     return head, declarators
 
 
+def _line_ends(source):
+    """How many line terminators ``source`` holds: LF, CR or CRLF (JLS 3.4)."""
+    return source.count("\n") + source.count("\r") - source.count("\r\n")
+
+
 def _type_body(members, prefixes):
     """``class A`` holding ``members``, each after the next of ``prefixes`` in
     turn, and each declarator's (kind, name, line)."""
@@ -453,7 +458,7 @@ def _type_body(members, prefixes):
     for (head, declarators), prefix in zip(members, itertools.cycle(prefixes)):
         source += "    " + prefix + head
         for kind, name, tail in declarators:
-            expected.append((kind, f"A.{name}", source.count("\n") + 1))
+            expected.append((kind, f"A.{name}", _line_ends(source) + 1))
             source += name + tail
         source += "\n"
     return source + "}\n", expected
@@ -494,7 +499,7 @@ def _java_files(draw):
     sep = draw(_separators)
     source = "".join(draw(_gaps)) + sep
     dotted, package = draw(_dotted())
-    expected = [(IdentifierKind.PACKAGE, package, source.count("\n") + 1)]
+    expected = [(IdentifierKind.PACKAGE, package, _line_ends(source) + 1)]
     source += f"package{_MARK}{sep}{dotted}{draw(_separators)};\n"
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         source += "".join(draw(_gaps)) + f"{sep}import{_MARK}{sep}"
@@ -508,7 +513,7 @@ def _java_files(draw):
         keyword = draw(st.sampled_from(["class", "interface", "enum"]))
         name = draw(_member_names)
         source += f"{_MARK}{keyword}{sep}"
-        expected.append((IdentifierKind.CLASS, f"{package}.{name}", source.count("\n") + 1))
+        expected.append((IdentifierKind.CLASS, f"{package}.{name}", _line_ends(source) + 1))
         source += name
         for clause in draw(st.lists(st.sampled_from(["extends", "implements"]), max_size=2)):
             names = draw(st.lists(_dotted(), min_size=1, max_size=3))
@@ -517,13 +522,13 @@ def _java_files(draw):
         if keyword == "enum":
             constants = draw(st.lists(_member_names, max_size=2))
             source += "    " + ", ".join(constants) + ";\n"
-            line = source.count("\n")
+            line = _line_ends(source)
             expected += [(IdentifierKind.ATTRIBUTE, f"{package}.{name}.{constant}", line)
                          for constant in constants]
         for head, declarators in draw(st.lists(_common_members(), max_size=5)):
             source += "    " + head
             for kind, member, tail in declarators:
-                expected.append((kind, f"{package}.{name}.{member}", source.count("\n") + 1))
+                expected.append((kind, f"{package}.{name}.{member}", _line_ends(source) + 1))
                 source += member + tail
             source += "\n"
         source += "}\n"
