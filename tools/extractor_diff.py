@@ -8,9 +8,10 @@ each ROOT and on N seeded token soups: random sequences of Java keywords,
 names, punctuation, literals, comments, member-shaped pieces such as
 ``int m() {`` and header-shaped ones such as ``package a.b;`` and
 ``public class A {`` (malformed package names such as ``package a..b;``
-among them) and pieces of declarator lists such as ``int a, b;`` and
-``b[] = 2,``, after an opening that leaves a class, enum, interface
-or method body open.  For each source it prints how many inputs give
+among them), pieces of declarator lists such as ``int a, b;`` and
+``b[] = 2,``, a lone CR, a Ctrl-Z, members named ``sealed`` (``int
+sealed;``, ``sealed(``) and the header ``class A;``, after an opening that
+leaves a class, enum, interface or method body open.  For each source it prints how many inputs give
 different identifiers and how many give different diagnostics, followed by
 the first few differences, and it exits with status 1 when any input differs.
 A ROOT that is not a readable directory ends the run with status 2 before
@@ -46,7 +47,8 @@ _TOKENS = (
     "int m() {", "m() {", "a / b", "/** } */", "'{'", "package a.b;", "import a.*;",
     "import static a.B.c;", "/** d */", "public class A {", "enum E {",
     "package a b;", "package a..b;", "package a.*;", "\npackage c;\n",
-    "int a, b;", "a,", "b[] = 2,", '= "x, y",',
+    "int a, b;", "a,", "b[] = 2,", '= "x, y",', "\r", "\x1a", "int sealed;", "sealed(",
+    "class A;",
 ]
 
 
