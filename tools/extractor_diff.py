@@ -11,9 +11,10 @@ names, punctuation, literals, comments, member-shaped pieces such as
 among them), pieces of declarator lists such as ``int a, b;`` and
 ``b[] = 2,``, a lone CR, a Ctrl-Z, members named ``sealed`` (``int
 sealed;``, ``sealed(``) and the header ``class A;``, after an opening that
-leaves a class, enum, interface or method body open.  For each source it prints how many inputs give
-different identifiers and how many give different diagnostics, followed by
-the first few differences, and it exits with status 1 when any input differs.
+leaves a class, enum, interface or method body open.  For each source it
+prints how many inputs give different identifiers and how many give
+different diagnostics, followed by the first few differences, and it exits
+with status 1 when any input differs.
 A ROOT that is not a readable directory ends the run with status 2 before
 REV is loaded.
 """
