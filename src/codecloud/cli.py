@@ -154,8 +154,8 @@ class _Corpus:
         self.count = 0
 
     def __iter__(self) -> Iterator[Identifier]:
-        for unit, ids in extract_units(self._units):
-            for diagnostic in unit.diagnostics:
+        for unit, ids, diagnostics in extract_units(self._units):
+            for diagnostic in diagnostics:
                 print(
                     f"warning: {unit.path}:{diagnostic.line}: {diagnostic.message}",
                     file=sys.stderr,

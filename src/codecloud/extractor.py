@@ -84,22 +84,12 @@ class Diagnostic(NamedTuple):
     line: int
 
 
-class _SourceUnitFields(NamedTuple):
+class SourceUnit(NamedTuple):
+    """One ``.java`` file: path, decoded text, and what reading it found."""
+
     path: str
     text: str
-    diagnostics: list[Diagnostic]
-
-
-class SourceUnit(_SourceUnitFields):
-    """One ``.java`` file: path, decoded text, and non-fatal parse warnings.
-
-    Each unit gets its own ``diagnostics`` list, which corpus assembly extends.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, path: str, text: str, diagnostics: list[Diagnostic] | None = None):
-        return super().__new__(cls, path, text, [] if diagnostics is None else diagnostics)
+    diagnostics: tuple[Diagnostic, ...] = ()
 
 
 class Identifier(NamedTuple):
@@ -871,12 +861,11 @@ def _read_unit(rel: str, path: str) -> SourceUnit:
         with open(path, "rb") as file:
             raw = file.read()
     except OSError as exc:
-        return SourceUnit(rel, "", [Diagnostic(f"unreadable file: {exc}", 0)])
+        return SourceUnit(rel, "", (Diagnostic(f"unreadable file: {exc}", 0),))
     text = raw.decode("utf-8", errors="replace").lstrip("\ufeff")
-    unit = SourceUnit(rel, text)
     if "\ufffd" in text:
-        unit.diagnostics.append(Diagnostic("invalid UTF-8 bytes were replaced", 0))
-    return unit
+        return SourceUnit(rel, text, (Diagnostic("invalid UTF-8 bytes were replaced", 0),))
+    return SourceUnit(rel, text)
 
 
 def iter_tree(root: str | Path) -> Iterator[SourceUnit]:
@@ -904,21 +893,21 @@ def scan_tree(root: str | Path) -> list[SourceUnit]:
 
 def extract_units(
     units: Iterable[SourceUnit],
-) -> Iterator[tuple[SourceUnit, list[Identifier]]]:
-    """Extract each unit when it is reached and yield it with its identifiers.
+) -> Iterator[tuple[SourceUnit, list[Identifier], list[Diagnostic]]]:
+    """Extract each unit when it is reached and yield it with its identifiers and diagnostics.
 
-    Each unit's parse diagnostics are appended to ``unit.diagnostics`` before
-    it is yielded.  Package declarations are deduplicated across the units
-    by qualified name, keeping the first occurrence.
+    The diagnostics are the unit's own, from reading it, then those of
+    parsing it; the unit itself is left as it is.  Package declarations are
+    deduplicated across the units by qualified name, keeping the first
+    occurrence.
     """
     return _assemble((unit, extract_identifiers(unit)) for unit in units)
 
 
-def _assemble(extracted) -> Iterator[tuple[SourceUnit, list[Identifier]]]:
+def _assemble(extracted) -> Iterator[tuple[SourceUnit, list[Identifier], list[Diagnostic]]]:
     """:func:`extract_units` over ``(unit, (identifiers, diagnostics))`` pairs."""
     seen_packages: set[str] = set()
     for unit, (ids, diagnostics) in extracted:
-        unit.diagnostics.extend(diagnostics)
         kept = []
         for identifier in ids:
             if identifier.kind is _PACKAGE:
@@ -926,7 +915,7 @@ def _assemble(extracted) -> Iterator[tuple[SourceUnit, list[Identifier]]]:
                     continue
                 seen_packages.add(identifier.qualified_name)
             kept.append(identifier)
-        yield unit, kept
+        yield unit, kept, [*unit.diagnostics, *diagnostics]
 
 
 def extract_corpus(units: list[SourceUnit], parallel: bool = False) -> list[Identifier]:
@@ -950,4 +939,4 @@ def extract_corpus(units: list[SourceUnit], parallel: bool = False) -> list[Iden
                 "parallel extraction unavailable (%s); running sequentially", exc
             )
     stream = extract_units(units) if results is None else _assemble(zip(units, results))
-    return [identifier for _, ids in stream for identifier in ids]
+    return [identifier for _, ids, _ in stream for identifier in ids]

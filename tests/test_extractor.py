@@ -14,6 +14,7 @@ from codecloud import (
     SourceUnit,
     extract_corpus,
     extract_identifiers,
+    extract_units,
     iter_tree,
     scan_tree,
 )
@@ -229,9 +230,9 @@ def test_generated_tree_is_extracted_without_the_token_parser(monkeypatch, big_c
     units = scan_tree(big_corpus.root)
     counts = Counter()
     _count_methods(monkeypatch, counts, ("_fill", "_parse_package", "_parse_type"))
-    ids = extract_corpus(units)
-    assert len(ids) > 2 * len(units)
-    assert all(unit.diagnostics == [] for unit in units)
+    extracted = list(extract_units(units))
+    assert sum(len(ids) for _, ids, _ in extracted) > 2 * len(units)
+    assert all(diagnostics == [] for _, _, diagnostics in extracted)
     assert counts["_parse_package"] == counts["_parse_type"] == 0
     assert counts["_fill"] <= len(units)
 
@@ -574,8 +575,8 @@ def test_unreadable_file_is_named_by_its_path_under_the_root(
     (tmp_path / "sub" / "A.java").unlink()
     message = f"unreadable file: [Errno 2] No such file or directory: {path!r}"
     assert [(unit.path, unit.text, unit.diagnostics) for unit in units] == [
-        ("A.java", "", [(message, 0)]),
-        ("B.java", "class B {}", []),
+        ("A.java", "", ((message, 0),)),
+        ("B.java", "class B {}", ()),
     ]
 
 
@@ -598,10 +599,11 @@ def test_invalid_utf8_is_replaced_with_diagnostic(tmp_path):
 
 
 def test_broken_source_recovers_with_diagnostics(broken_dir):
-    units = scan_tree(broken_dir)
-    ids = extract_corpus(units)
-    assert [i.simple_name for i in ids] == ["broken", "Broken", "fine", "bad"]
-    assert units[0].diagnostics
+    extracted = list(extract_units(scan_tree(broken_dir)))
+    assert [i.simple_name for _, ids, _ in extracted for i in ids] == [
+        "broken", "Broken", "fine", "bad"
+    ]
+    assert extracted[0][2]
 
 
 def test_garbage_never_raises():
