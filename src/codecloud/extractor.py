@@ -5,7 +5,7 @@ literal whole, and a brace-tracking parser walks the token texts and emits
 one identifier per declaration: the package declaration, every type
 declaration (class, interface, enum, annotation type, record; nested
 included), every field declarator and enum constant, and every method or
-constructor.  The lexer stops after each ';', '{' and '}', so once a
+constructor.  The lexer stops after each ';', '{', '}' and Ctrl-Z, so once a
 declaration ends the parser has used every token lexed.  Where it has, the
 common shapes are taken from one anchored regex match each without being
 tokenized: a member of a type body (ASCII names, dims and dots, then a
@@ -58,6 +58,9 @@ _KEYWORDS_NEVER_NAMES = frozenset(
     "protected public return short static strictfp super switch synchronized this "
     "throw throws transient try void volatile while _ true false null".split()
 )
+#: Those and the restricted identifiers that name no type (JLS 3.8), though
+#: they may name a member.
+_NEVER_TYPE_NAMES = _KEYWORDS_NEVER_NAMES | {"permits", "record", "sealed", "var", "yield"}
 
 
 class CorpusError(Exception):
@@ -265,9 +268,9 @@ class _Extraction:
     """Single-file parse state: token buffer and cursor plus output accumulators.
 
     The buffer holds each token's text and start offset.  It is lexed on
-    demand, up to and including the next ';', '{' or '}', so a body that is
-    skipped as a whole is never tokenized: :meth:`_skip_body` jumps from
-    brace to brace with :data:`_TO_BRACE_RE` instead.  Line numbers are
+    demand, up to and including the next ';', '{', '}' or Ctrl-Z, so a body
+    that is skipped as a whole is never tokenized: :meth:`_skip_body` jumps
+    from brace to brace with :data:`_TO_BRACE_RE` instead.  Line numbers are
     computed from offsets only where something is emitted or diagnosed.
 
     When the buffer is drained (the cursor is past every lexed token), the
@@ -314,7 +317,7 @@ class _Extraction:
     # -- lexer --
 
     def _fill(self) -> bool:
-        """Lex on through the next ';', '{' or '}', or to the end; whether it added tokens."""
+        """Lex on through the next ';', '{', '}' or Ctrl-Z, or to the end; whether it lexed any."""
         count = len(self.tokens)
         for match in _TOKEN_RE.finditer(self.text, self.lexed_to):
             kind = match.lastgroup
@@ -325,7 +328,7 @@ class _Extraction:
             value = match.group(kind)
             self.tokens.append(value)
             self.offsets.append(match.start(kind))
-            if value == ";" or value == "{" or value == "}":
+            if value == ";" or value == "{" or value == "}" or value == "\x1a":
                 self.lexed_to = match.end()
                 break
         else:
@@ -499,6 +502,8 @@ class _Extraction:
                 self._skip_balanced()
             elif value == "non" and self._peek(1) == "-" and self._peek(2) == "sealed":
                 self.pos += 3  # the `non-sealed` modifier
+            elif value == "\x1a":
+                break  # a Ctrl-Z ends the input (JLS 3.5)
             else:
                 self._diag(f"unexpected {value!r} at top level", self.pos)
                 self.pos += 1
@@ -566,7 +571,10 @@ class _Extraction:
         if match is None:
             return False
         qualified, name = match.group("qualified", "name")
-        if name in _KEYWORDS_NEVER_NAMES or qualified and (self.package or self.declared):
+        segments = qualified.replace(".", " ").split() if qualified else ()
+        if name in _NEVER_TYPE_NAMES or qualified and (
+            self.package or self.declared or not _KEYWORDS_NEVER_NAMES.isdisjoint(segments)
+        ):
             return False  # left to the token parser, which diagnoses it
         if qualified is None:  # an import or a type
             self.declared = True
@@ -577,10 +585,9 @@ class _Extraction:
             is_enum = match.group("keyword") == "enum"
             self.bodies.append((scope + name + ".", match.end() - 1, is_enum, ""))
         elif qualified is not None:  # a package; an import emits nothing
-            qualified = "".join(qualified.split())
+            qualified = ".".join(segments)
             line = self._line(match.start("package"))
-            simple = qualified.rpartition(".")[2]
-            self.out.append(Identifier(_PACKAGE, simple, qualified, self.path, line))
+            self.out.append(Identifier(_PACKAGE, segments[-1], qualified, self.path, line))
             self.package = qualified + "."
         self.lexed_to = match.end()
         return True
@@ -590,7 +597,8 @@ class _Extraction:
 
         A malformed or second declaration, or one after an import or a type,
         is diagnosed and emitted all the same: as the names in it joined by
-        dots, scoping the types after it.
+        dots, scoping the types after it.  A name that is a keyword makes the
+        declaration malformed.
         """
         start = self.pos
         self.pos += 1
@@ -607,7 +615,11 @@ class _Extraction:
             self._diag("second package declaration", start)
         elif self.declared:
             self._diag("package declaration after an import or type", start)
-        if value != ";" or " ".join(run) != " . ".join(segments):  # not `a.b.c;`
+        if (
+            value != ";"
+            or " ".join(run) != " . ".join(segments)  # not `a.b.c;`
+            or not _KEYWORDS_NEVER_NAMES.isdisjoint(segments)
+        ):
             self._diag("malformed package declaration", start)
         prefix = "".join(segment + "." for segment in segments[:-1])
         self._emit(_PACKAGE, segments[-1], prefix, start)
@@ -619,7 +631,7 @@ class _Extraction:
         keyword = self.tokens[start]
         self.pos += 2 if keyword == "@" else 1  # '@' 'interface'
         name = self._peek()
-        if not _is_name(name) or name in _KEYWORDS_NEVER_NAMES:
+        if not _is_name(name) or name in _NEVER_TYPE_NAMES:
             self._diag("type declaration without a name", start)
             self._skip_statement()
             return
@@ -663,7 +675,11 @@ class _Extraction:
             self.bodies[-1] = (scope, open_at, False, "")
         elif value == ",":
             self.pos += 1
-        elif _is_name(value) and self._peek(1) in _CONSTANT_ENDS:
+        elif (
+            _is_name(value)
+            and value not in _KEYWORDS_NEVER_NAMES
+            and self._peek(1) in _CONSTANT_ENDS
+        ):
             self._emit(_ATTRIBUTE, value, scope, self.pos)
             self.pos += 1
             if self._peek() == "(":

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from codecloud import (
     CorpusError,
+    Diagnostic,
     IdentifierKind,
     SourceUnit,
     extract_corpus,
@@ -580,6 +581,21 @@ def test_unreadable_file_is_named_by_its_path_under_the_root(
     ]
 
 
+def test_extract_units_yields_each_files_identifiers_and_diagnostics():
+    """Each unit is yielded as it came, with its reading diagnostics before its
+    parse diagnostics; a package that an earlier unit declared is not yielded again."""
+    read = Diagnostic("invalid UTF-8 bytes were replaced", 0)
+    first = SourceUnit("A.java", "package p;\nclass A {\n", (read,))
+    second = SourceUnit("B.java", "package p;\nclass B {}")
+    extracted = list(extract_units([first, second]))
+    assert extracted[0][0] is first and extracted[1][0] is second
+    assert [([i.qualified_name for i in ids], found) for _, ids, found in extracted] == [
+        (["p", "p.A"], [read, ("unbalanced '{'", 2)]),
+        (["p.B"], []),
+    ]
+    assert first == SourceUnit("A.java", "package p;\nclass A {\n", (read,))
+
+
 def test_bom_and_crlf_sources(tmp_path):
     (tmp_path / "A.java").write_bytes(
         b"\xef\xbb\xbfpackage p;\r\nclass A {\r\n    int x;\r\n}\r\n"
@@ -816,6 +832,21 @@ def _body_at_depth(depth, statement):
         # a reserved keyword names no type, on either path
         ("\nclass new { int x; }", [("type declaration without a name", 2)]),
         ("class A {\n interface int { }\n}", [("type declaration without a name", 2)]),
+        # nor does a restricted identifier (JLS 3.8), on either path
+        *[
+            (source.replace("X", name), [("type declaration without a name", 2)])
+            for name in ("permits", "record", "sealed", "var", "yield")
+            for source in ("\nclass X { int x; }", "class A {\n interface X { }\n}")
+        ],
+        ("class A {\n record var(int x) { }\n}", [("type declaration without a name", 2)]),
+        # a reserved keyword names no enum constant and no package segment
+        ("enum E {\n int, goto;\n}", [("unexpected 'int' in enum constants", 2)]),
+        ("\npackage int.x;\nclass A {}", [("malformed package declaration", 2)]),
+        ("package a\n  . true;", [("malformed package declaration", 1)]),
+        # a Ctrl-Z at the top level ends the input (JLS 3.5)
+        ("class G {}\x1a\n", []),
+        ("class H {}\x1a class I {}", []),
+        ('class H {}\x1a "open', []),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -1152,6 +1183,22 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             "class A { int x; }\x1a",
             [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.x")],
         ),
+        # JLS 3.8: a restricted identifier names a member but no type
+        (
+            "class A { int var; void record() { } }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.var"),
+             (IdentifierKind.METHOD, "A.record")],
+        ),
+        ("class var { int x; }\nclass B {}", [(IdentifierKind.CLASS, "B", 2)]),
+        # JLS 3.9: a reserved keyword names no enum constant; a package named by one
+        # is kept, as the token parser reads it
+        ("enum E { int, goto; }", [(IdentifierKind.CLASS, "E")]),
+        (
+            "package int.x;\nclass A {}",
+            [(IdentifierKind.PACKAGE, "int.x", 1), (IdentifierKind.CLASS, "int.x.A", 2)],
+        ),
+        # JLS 3.5: a Ctrl-Z at the top level ends the input
+        ("class H {}\x1a class I {}", [(IdentifierKind.CLASS, "H")]),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -1178,7 +1225,9 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "package_name_with_two_dots", "on_demand_package_name",
          "package_declaration_after_a_type", "keyword_before_declarator_comma",
          "initialized_keyword_before_declarator_comma", "contextual_keyword_names",
-         "reserved_keyword_and_literal_names", "cr_line_ends", "final_ctrl_z"],
+         "reserved_keyword_and_literal_names", "cr_line_ends", "final_ctrl_z",
+         "restricted_identifier_member_names", "restricted_identifier_type_name",
+         "keyword_enum_constants", "keyword_package_segment", "top_level_ctrl_z"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
@@ -1200,6 +1249,9 @@ _TOP_LEVEL_DIAGNOSTICS = {
     "package a;\nclass A {}\n/* c */\npackage b;\nclass B {}": [
         ("second package declaration", 4)
     ],
+    "class var { int x; }\nclass B {}": [("type declaration without a name", 1)],
+    "enum E { int, goto; }": [("unexpected 'int' in enum constants", 1)],
+    "package int.x;\nclass A {}": [("malformed package declaration", 1)],
 }
 
 
