@@ -10,7 +10,10 @@ names, punctuation, literals, comments, member-shaped pieces such as
 ``public class A {`` (malformed package names such as ``package a..b;``
 among them), pieces of declarator lists such as ``int a, b;`` and
 ``b[] = 2,``, a lone CR, a Ctrl-Z, members named ``sealed`` (``int
-sealed;``, ``sealed(``) and the header ``class A;``, after an opening that
+sealed;``, ``sealed(``), the header ``class A;``, types named by restricted
+identifiers (``class record {``, ``interface var {``), keywords where an
+enum constant or a package name goes (``enum E { int,``, ``package int.x;``)
+and a Ctrl-Z before a type (``^Z class I {}``), after an opening that
 leaves a class, enum, interface or method body open.  For each source it
 prints how many inputs give different identifiers and how many give
 different diagnostics, followed by the first few differences, and it exits
@@ -49,7 +52,8 @@ _TOKENS = (
     "import static a.B.c;", "/** d */", "public class A {", "enum E {",
     "package a b;", "package a..b;", "package a.*;", "\npackage c;\n",
     "int a, b;", "a,", "b[] = 2,", '= "x, y",', "\r", "\x1a", "int sealed;", "sealed(",
-    "class A;",
+    "class A;", "class record {", "interface var {", "enum E { int,", "package int.x;",
+    "\x1a class I {}",
 ]
 
 
