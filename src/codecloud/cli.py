@@ -361,7 +361,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # config validation (flag values out of range)
         print(f"codecloud: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())
