@@ -58,8 +58,7 @@ _KEYWORDS_NEVER_NAMES = frozenset(
     "protected public return short static strictfp super switch synchronized this "
     "throw throws transient try void volatile while _ true false null".split()
 )
-#: Those and the restricted identifiers that name no type (JLS 3.8), though
-#: they may name a member.
+#: Those and the restricted identifiers (JLS 3.8): no type is named by one.
 _NEVER_TYPE_NAMES = _KEYWORDS_NEVER_NAMES | {"permits", "record", "sealed", "var", "yield"}
 
 
@@ -615,11 +614,8 @@ class _Extraction:
             self._diag("second package declaration", start)
         elif self.declared:
             self._diag("package declaration after an import or type", start)
-        if (
-            value != ";"
-            or " ".join(run) != " . ".join(segments)  # not `a.b.c;`
-            or not _KEYWORDS_NEVER_NAMES.isdisjoint(segments)
-        ):
+        malformed = value != ";" or " ".join(run) != " . ".join(segments)  # not `a.b.c;`
+        if malformed or not _KEYWORDS_NEVER_NAMES.isdisjoint(segments):
             self._diag("malformed package declaration", start)
         prefix = "".join(segment + "." for segment in segments[:-1])
         self._emit(_PACKAGE, segments[-1], prefix, start)
@@ -675,10 +671,8 @@ class _Extraction:
             self.bodies[-1] = (scope, open_at, False, "")
         elif value == ",":
             self.pos += 1
-        elif (
-            _is_name(value)
-            and value not in _KEYWORDS_NEVER_NAMES
-            and self._peek(1) in _CONSTANT_ENDS
+        elif _is_name(value) and value not in _KEYWORDS_NEVER_NAMES and (
+            self._peek(1) in _CONSTANT_ENDS
         ):
             self._emit(_ATTRIBUTE, value, scope, self.pos)
             self.pos += 1
