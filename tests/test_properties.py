@@ -42,7 +42,7 @@ from codecloud.evaluator import (
     report_to_json_dict,
     tally_oracle,
 )
-from codecloud.extractor import _KEYWORDS_NEVER_NAMES, _MODIFIERS
+from codecloud.extractor import _KEYWORDS_NEVER_NAMES, _MODIFIERS, _NEVER_TYPE_NAMES
 from codecloud.renderer import _ESCAPES, layout_cloud, text_width
 
 from reference import oracle_frequency, reference_split, tags_of_identifier
@@ -511,7 +511,7 @@ def _java_files(draw):
             st.lists(st.sampled_from(sorted(_MODIFIERS)), max_size=3)
         ))
         keyword = draw(st.sampled_from(["class", "interface", "enum"]))
-        name = draw(_member_names)
+        name = draw(_member_names.filter(lambda name: name not in _NEVER_TYPE_NAMES))
         source += f"{_MARK}{keyword}{sep}"
         expected.append((IdentifierKind.CLASS, f"{package}.{name}", _line_ends(source) + 1))
         source += name
