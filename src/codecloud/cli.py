@@ -154,6 +154,10 @@ class _Corpus:
         self.count = 0
 
     def __iter__(self) -> Iterator[Identifier]:
+        return chain.from_iterable(self._files())
+
+    def _files(self) -> Iterator[list[Identifier]]:
+        """Each file's identifiers, once its warnings are printed and they are counted."""
         for unit, ids, diagnostics in extract_units(self._units):
             for diagnostic in diagnostics:
                 print(
@@ -161,7 +165,7 @@ class _Corpus:
                     file=sys.stderr,
                 )
             self.count += len(ids)
-            yield from ids
+            yield ids
 
 
 def _write_output(chunks: Iterable[str], out: str) -> None:

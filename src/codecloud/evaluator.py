@@ -1,8 +1,9 @@
 """Oracle-based evaluation of tag clouds.
 
 The oracle is a second, deliberately naive implementation of the
-split-and-stem pipeline: regex substitutions insert word boundaries and a
-straight loop interprets the same lexicon data.  It shares nothing with
+split-and-stem pipeline: a regex substitution inserts word boundaries, a
+translate table blanks every other non-letter, and a straight loop
+interprets the same lexicon data.  It shares nothing with
 the production code path except the lexicon data, so agreement between the
 two is evidence rather than tautology.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .cloudmodel import CloudKind, TagCloud, _select
@@ -35,10 +36,12 @@ from .stemmer import DETACHMENT_RULES, StemLexicon
 #: letter (``XMLParser``) or after a lowercase letter or digit (``getX``).
 #: The two never share a position, so one pass inserts both.
 _BOUNDARY = re.compile(r"(?=[A-Z])(?:(?<=[A-Z])(?=.[a-z])|(?<=[a-z0-9]))")
-#: Spares ``\n``, which joins the names of a batch.
-_NON_LETTER = re.compile(r"[^A-Za-z\n]+")
+#: A ``str.translate`` table that maps every ASCII character but a letter
+#: and ``\n``, which joins the names of a batch, to a space.  Folded text is
+#: ASCII, and ``split()`` merges the runs of spaces.
+_NON_LETTER = "".join(c if c.isalpha() or c == "\n" else " " for c in map(chr, range(128)))
 
-#: Names split by one run of the two regex passes.
+#: Names split by one run of the passes.
 _BATCH = 256
 
 
@@ -71,7 +74,7 @@ def _ascii_fold(name: str) -> str:
 
 def _spaced(folded: str) -> str:
     """Lowercase words separated by spaces, line for line, from ASCII-folded text."""
-    return _NON_LETTER.sub(" ", _BOUNDARY.sub(" ", folded)).lower()
+    return _BOUNDARY.sub(" ", folded).translate(_NON_LETTER).lower()
 
 
 def _naive_split(name: str) -> list[str]:
@@ -144,6 +147,17 @@ def tally_oracle(
     oracle frequency.  Names are split and stemmed a batch at a time; only
     the batch at hand is held.
     """
+    return chain.from_iterable(_tallied(ids, tally, lexicon, kind, stop_words_enabled))
+
+
+def _tallied(
+    ids: Iterable[Identifier],
+    tally: dict[str, list[str]],
+    lexicon: StemLexicon,
+    kind: CloudKind,
+    stop_words_enabled: bool,
+) -> Iterator[list[Identifier]]:
+    """Each batch of :func:`tally_oracle`'s ``ids``, once ``tally`` holds it."""
     stem_of: dict[str, str] = {}  # one call's memo, so it always matches ``lexicon``
     ids = iter(ids)
     while batch := list(islice(ids, _BATCH)):
@@ -158,7 +172,7 @@ def tally_oracle(
                     tally[stem] = [name]
                 else:
                     names.append(name)
-        yield from batch
+        yield batch
 
 
 # --- metrics -------------------------------------------------------------

@@ -32,8 +32,10 @@ nesting depth makes extraction raise.  A module declaration
 
 from __future__ import annotations
 
+import errno
 import os
 import re
+import stat
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -865,11 +867,33 @@ def _list_tree(root: Path) -> list[str]:
     return found
 
 
+#: The most bytes one ``os.read`` of :func:`_read_unit` asks for.
+_READ_CHUNK = 1 << 16
+
+
 def _read_unit(rel: str, path: str) -> SourceUnit:
-    """The unit of one listed file; an unreadable file becomes an empty unit."""
+    """The unit of one listed file; an unreadable file becomes an empty unit.
+
+    The file is read with ``os.read`` to its end: the size ``fstat`` gives,
+    at most :data:`_READ_CHUNK` a read, then one byte that finds the end, so
+    no buffer is larger than the file; a file that grew since is read on a
+    chunk at a time.  A directory fails as ``open`` fails on one, so every
+    diagnostic reads as it did when ``open`` read the file.
+    """
     try:
-        with open(path, "rb") as file:
-            raw = file.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            left = info.st_size
+            chunks = []
+            while chunk := os.read(fd, min(left, _READ_CHUNK) or 1):
+                chunks.append(chunk)
+                left = left - len(chunk) if left else _READ_CHUNK
+        finally:
+            os.close(fd)
+        raw = b"".join(chunks)
     except OSError as exc:
         return SourceUnit(rel, "", (Diagnostic(f"unreadable file: {exc}", 0),))
     text = raw.decode("utf-8", errors="replace").lstrip("\ufeff")

@@ -30,6 +30,13 @@ DETACHMENT_RULES: tuple[tuple[str, str, int, bool], ...] = (
     ("s", "", 2, False),
 )
 
+#: The rules of :data:`DETACHMENT_RULES` by the last letter of their suffix,
+#: in the same order within each letter.
+_RULES_BY_LAST_LETTER = {
+    last: tuple(rule for rule in DETACHMENT_RULES if rule[0][-1] == last)
+    for last in {suffix[-1] for suffix, *_ in DETACHMENT_RULES}
+}
+
 
 class StemLexicon(NamedTuple):
     """Immutable stemming data: safe to share across threads."""
@@ -98,12 +105,13 @@ def stem_word(word: str, lexicon: StemLexicon) -> str:
     """Map a lowercase word to its base form.
 
     Exception map first, then the first applicable detachment rule (applied
-    once); words matching nothing pass through unchanged.
+    once); words matching nothing pass through unchanged.  Only the rules
+    whose suffix ends in the word's last letter are tried, in their order.
     """
     base = lexicon.exceptions.get(word)
     if base is not None:
         return base
-    for suffix, replacement, min_stem, needs_list in DETACHMENT_RULES:
+    for suffix, replacement, min_stem, needs_list in _RULES_BY_LAST_LETTER.get(word[-1:], ()):
         if len(word) - len(suffix) >= min_stem and word.endswith(suffix):
             candidate = word[: len(word) - len(suffix)] + replacement
             if needs_list and candidate not in lexicon.word_list:

@@ -546,17 +546,20 @@ def test_scan_tree_skips_a_directory_it_may_not_list(tmp_path, monkeypatch):
 
 def test_unreadable_file_becomes_diagnostic(tmp_path, monkeypatch):
     (tmp_path / "A.java").write_text("class A {}")
+    read_from = []
 
-    def failing(path, mode):
-        if os.path.basename(path) == "A.java":
-            raise OSError("simulated unreadable file")
-        return open(path, mode)
+    def failing(fd, size):
+        read_from.append(fd)
+        raise OSError("simulated unreadable file")
 
-    monkeypatch.setattr(extractor, "open", failing, raising=False)
-    units = scan_tree(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "read", failing)
+        units = scan_tree(tmp_path)
     assert len(units) == 1
     assert units[0].text == ""
-    assert units[0].diagnostics
+    assert units[0].diagnostics == (("unreadable file: simulated unreadable file", 0),)
+    with pytest.raises(OSError):  # the file was closed all the same
+        os.fstat(read_from[0])
 
 
 @pytest.mark.parametrize(
