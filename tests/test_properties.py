@@ -44,6 +44,7 @@ from codecloud.evaluator import (
 )
 from codecloud.extractor import _KEYWORDS_NEVER_NAMES, _MODIFIERS, _NEVER_TYPE_NAMES
 from codecloud.renderer import _ESCAPES, layout_cloud, text_width
+from codecloud.stemmer import DETACHMENT_RULES
 
 from reference import oracle_frequency, reference_split, tags_of_identifier
 
@@ -123,6 +124,27 @@ def test_oracle_batch_split_equals_one_name_at_a_time(names):
 def test_stem_idempotent_on_lexicon_scope(word):
     once = stem_word(word, LEXICON)
     assert stem_word(once, LEXICON) == once
+
+
+#: Lowercase text, with "" and one-letter words, and lexicon words with each
+#: rule's suffix appended, in place of their last letter too (``writ`` + ``ing``).
+_RULE_WORDS = st.one_of(
+    st.text(string.ascii_lowercase, max_size=12),
+    st.tuples(
+        st.sampled_from(_STEM_POOL),
+        st.integers(0, 1),
+        st.sampled_from(sorted({rule[0] for rule in DETACHMENT_RULES})),
+    ).map(lambda drawn: drawn[0][: len(drawn[0]) - drawn[1]] + drawn[2]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_RULE_WORDS)
+@example("")
+@example("s")
+def test_stem_word_equals_naive_stem(word):
+    """The production stemmer's rule index tries the rules the naive loop tries."""
+    assert stem_word(word, LEXICON) == _naive_stem(word, LEXICON)
 
 
 @settings(max_examples=1000, deadline=None)
