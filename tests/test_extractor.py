@@ -562,6 +562,34 @@ def test_unreadable_file_becomes_diagnostic(tmp_path, monkeypatch):
         os.fstat(read_from[0])
 
 
+def test_file_larger_than_a_read_chunk_is_read_whole(tmp_path):
+    lines = ["class A {"]
+    while sum(map(len, lines)) < 4 * extractor._READ_CHUNK + 1:
+        lines.append(f"  int field{len(lines)};  // to fill the file")
+    lines += ["  void last() { }", "}", ""]
+    text = "\n".join(lines)
+    (tmp_path / "A.java").write_text(text)
+    (unit,) = scan_tree(tmp_path)
+    assert unit == SourceUnit("A.java", text)
+    ids, diagnostics = extract_identifiers(unit)
+    assert (ids[-1].qualified_name, ids[-1].line, diagnostics) == ("A.last", len(lines) - 2, [])
+
+
+def test_empty_file_is_read_as_empty_text(tmp_path):
+    (tmp_path / "A.java").write_bytes(b"")
+    assert scan_tree(tmp_path) == [SourceUnit("A.java", "")]
+
+
+def test_file_made_a_directory_after_listing_is_reported_as_open_reports_it(tmp_path):
+    (tmp_path / "A.java").write_text("class A {}")
+    units = iter_tree(tmp_path)  # lists the tree now and reads each file when reached
+    (tmp_path / "A.java").unlink()
+    (tmp_path / "A.java").mkdir()
+    with pytest.raises(IsADirectoryError) as raised:
+        open(tmp_path / "A.java", "rb")
+    assert list(units) == [SourceUnit("A.java", "", ((f"unreadable file: {raised.value}", 0),))]
+
+
 @pytest.mark.parametrize(
     ("cwd", "root", "path"),
     [("sub", ".", "A.java"), (".", "./sub/", "sub/A.java"), (".", "sub", "sub/A.java")],
