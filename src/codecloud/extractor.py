@@ -471,6 +471,8 @@ class _Extraction:
                 if not self._fill():
                     break
             value = self.tokens[self.pos]
+            if value == "\x1a":
+                break  # a Ctrl-Z ends the input (JLS 3.5) where a member or constant would start
             if self.bodies:
                 scope, open_at, in_constants, record = self.bodies[-1]
                 if value == "}":
@@ -503,8 +505,6 @@ class _Extraction:
                 self._skip_balanced()
             elif value == "non" and self._peek(1) == "-" and self._peek(2) == "sealed":
                 self.pos += 3  # the `non-sealed` modifier
-            elif value == "\x1a":
-                break  # a Ctrl-Z ends the input (JLS 3.5)
             else:
                 self._diag(f"unexpected {value!r} at top level", self.pos)
                 self.pos += 1

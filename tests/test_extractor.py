@@ -878,6 +878,12 @@ def _body_at_depth(depth, statement):
         ("class G {}\x1a\n", []),
         ("class H {}\x1a class I {}", []),
         ('class H {}\x1a "open', []),
+        # and so does one where a member or an enum constant would start; javac
+        # reports "reached end of file while parsing"
+        ("class A { \x1a int x; }", [("unbalanced '{'", 1)]),
+        ("class A {\n class B {\n \x1a }\n}", [("unbalanced '{'", 2), ("unbalanced '{'", 1)]),
+        ("enum E {\n C,\n \x1a D;\n}", [("unbalanced '{'", 1)]),
+        ('class A {\n void m() { }\n \x1a "open }', [("unbalanced '{'", 1)]),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -1230,6 +1236,12 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
         ),
         # JLS 3.5: a Ctrl-Z at the top level ends the input
         ("class H {}\x1a class I {}", [(IdentifierKind.CLASS, "H")]),
+        # and so does one where a member or an enum constant would start
+        (
+            "class A {\n int x;\n \x1a int y;\n}",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.x")],
+        ),
+        ("enum E { C { \x1a } }", [(IdentifierKind.CLASS, "E"), (IdentifierKind.ATTRIBUTE, "E.C")]),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -1258,7 +1270,8 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "initialized_keyword_before_declarator_comma", "contextual_keyword_names",
          "reserved_keyword_and_literal_names", "cr_line_ends", "final_ctrl_z",
          "restricted_identifier_member_names", "restricted_identifier_type_name",
-         "keyword_enum_constants", "keyword_package_segment", "top_level_ctrl_z"],
+         "keyword_enum_constants", "keyword_package_segment", "top_level_ctrl_z",
+         "body_ctrl_z", "enum_constant_body_ctrl_z"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
@@ -1283,6 +1296,8 @@ _TOP_LEVEL_DIAGNOSTICS = {
     "class var { int x; }\nclass B {}": [("type declaration without a name", 1)],
     "enum E { int, goto; }": [("unexpected 'int' in enum constants", 1)],
     "package int.x;\nclass A {}": [("malformed package declaration", 1)],
+    "class A {\n int x;\n \x1a int y;\n}": [("unbalanced '{'", 1)],
+    "enum E { C { \x1a } }": [("unbalanced '{'", 1), ("unbalanced '{'", 1)],
 }
 
 
