@@ -874,11 +874,9 @@ _READ_CHUNK = 1 << 16
 def _read_unit(rel: str, path: str) -> SourceUnit:
     """The unit of one listed file; an unreadable file becomes an empty unit.
 
-    The file is read with ``os.read`` to its end: the size ``fstat`` gives,
-    at most :data:`_READ_CHUNK` a read, then one byte that finds the end, so
-    no buffer is larger than the file; a file that grew since is read on a
-    chunk at a time.  A directory fails as ``open`` fails on one, so every
-    diagnostic reads as it did when ``open`` read the file.
+    ``os.read`` reads it to its end, each read at most :data:`_READ_CHUNK`
+    and the size ``fstat`` gives, then one byte that finds the end, so no
+    buffer outgrows the file.  A directory fails as ``open`` fails on one.
     """
     try:
         fd = os.open(path, os.O_RDONLY)
