@@ -154,10 +154,6 @@ class _Corpus:
         self.count = 0
 
     def __iter__(self) -> Iterator[Identifier]:
-        return chain.from_iterable(self._files())
-
-    def _files(self) -> Iterator[list[Identifier]]:
-        """Each file's identifiers, once its warnings are printed and they are counted."""
         for unit, ids, diagnostics in extract_units(self._units):
             for diagnostic in diagnostics:
                 print(
@@ -165,7 +161,7 @@ class _Corpus:
                     file=sys.stderr,
                 )
             self.count += len(ids)
-            yield ids
+            yield from ids
 
 
 def _write_output(chunks: Iterable[str], out: str) -> None:
