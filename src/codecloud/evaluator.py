@@ -3,9 +3,9 @@
 The oracle is a second, deliberately naive implementation of the
 split-and-stem pipeline: a regex substitution inserts word boundaries, a
 translate table blanks every other non-letter, and a straight loop
-interprets the same lexicon data.  It shares nothing with
-the production code path except the lexicon data, so agreement between the
-two is evidence rather than tautology.
+interprets the same lexicon data.  It shares nothing with the production
+code path except the lexicon data files and the ``DETACHMENT_RULES`` table,
+so agreement between the two is evidence rather than tautology.
 
 Evaluation is two steps.  :func:`tally_oracle` passes the identifiers on
 while it records, for each oracle stem, the qualified names of the
@@ -25,7 +25,7 @@ from collections import Counter
 from itertools import chain, count, islice
 from typing import Iterable, Iterator, NamedTuple
 
-from .cloudmodel import CloudKind, TagCloud, _select
+from .cloudmodel import CloudKind, TagCloud
 from .extractor import Identifier
 from .stemmer import DETACHMENT_RULES, StemLexicon
 
@@ -159,9 +159,10 @@ def _tallied(
 ) -> Iterator[list[Identifier]]:
     """Each batch of :func:`tally_oracle`'s ``ids``, once ``tally`` holds it."""
     stem_of: dict[str, str] = {}  # one call's memo, so it always matches ``lexicon``
+    wanted = kind.value
     ids = iter(ids)
     while batch := list(islice(ids, _BATCH)):
-        selected = list(_select(batch, kind))
+        selected = batch if kind is CloudKind.ALL else [i for i in batch if i.kind.value == wanted]
         splits = _split_batch([identifier.simple_name for identifier in selected])
         stem_sets = _stem_sets(splits, lexicon, stop_words_enabled, stem_of)
         for identifier, stems in zip(selected, stem_sets):

@@ -5,7 +5,7 @@ literal whole, and a brace-tracking parser walks the token texts and emits
 one identifier per declaration: the package declaration, every type
 declaration (class, interface, enum, annotation type, record; nested
 included), every field declarator and enum constant, and every method or
-constructor.  The lexer stops after each ';', '{', '}' and Ctrl-Z, so once a
+constructor.  The lexer stops after each ';', '{' and '}', so once a
 declaration ends the parser has used every token lexed.  Where it has, the
 common shapes are taken from one anchored regex match each without being
 tokenized: a member of a type body (ASCII names, dims and dots, then a
@@ -22,6 +22,7 @@ regex match crosses everything up to the next brace outside comments and
 literals, so the scan costs a Python step per brace, not per token.  Only
 inside parentheses or brackets (``f(new T() { })``) are brace bodies walked
 token by token.  An unterminated literal or comment is diagnosed either way.
+A Ctrl-Z where a token would start ends the input, as ``javac`` reads it.
 Local variables, parameters, and type parameters are never inspected, so the
 parser needs no expression grammar.  Files that do not parse cleanly recover
 at the next plausible boundary and report diagnostics instead of failing.
@@ -32,10 +33,8 @@ nesting depth makes extraction raise.  A module declaration
 
 from __future__ import annotations
 
-import errno
 import os
 import re
-import stat
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -160,15 +159,15 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-#: Everything up to the next brace outside comments and literals: runs of
-#: characters that open none, terminated comments, strings and character
-#: literals, and '/' that opens no comment.  It stops short of a text block
-#: (a string never starts at '"""') and of a comment or literal left open,
-#: which :data:`_TOKEN_RE` then takes whole.  Possessive, so that the engine
-#: keeps no backtracking point per item: it scans about a tenth faster than
-#: the same pattern with greedy quantifiers.
+#: Everything up to the next brace or Ctrl-Z outside comments and literals:
+#: runs of characters that open none, terminated comments, strings and
+#: character literals, and '/' that opens no comment.  It stops short of a
+#: text block (a string never starts at '"""') and of a comment or literal
+#: left open, which :data:`_TOKEN_RE` then takes whole.  Possessive, so that
+#: the engine keeps no backtracking point per item: it scans about a tenth
+#: faster than the same pattern with greedy quantifiers.
 _TO_BRACE_RE = re.compile(
-    _with_bodies(r"""(?:[^{}"'/]++|//[^\n]*+|/\*BLOCK\*/|"(?!"")STRING"|'CHAR'|/(?![/*]))*+""")
+    _with_bodies(r"""(?:[^{}"'/\x1a]++|//[^\n]*+|/\*BLOCK\*/|"(?!"")STRING"|'CHAR'|/(?![/*]))*+""")
 )
 
 #: group -> (its closing delimiter's group, name in the diagnostic)
@@ -204,21 +203,21 @@ _DECLARATOR_RE = re.compile(
     .replace("INIT", _INIT)
 )
 
-#: The common member header, whole, at the start of a member: names, '.',
-#: '[' and ']' with no comments between them, then a parameter list that
-#: holds no brackets, literals, comments or braces and is followed by ';' or
-#: a body's '{'; or an optional simple initializer, an optional ``tail`` of
+#: The common member header, whole, at the start of a member: names, '.', '['
+#: and ']' with no comments between them, then a parameter list that holds no
+#: brackets, literals, comments, braces or Ctrl-Z and is followed by ';' or a
+#: body's '{'; or an optional simple initializer, an optional ``tail`` of
 #: further declarators, each with dims and an optional simple initializer of
-#: its own, and ';'.  ``name`` is the last name of the run, the member's
-#: own, since only dims may follow it.  Nothing backtracks: the run of names,
-#: '.', '[' and ']' is one possessive loop, which loses no match because no
-#: item of the run can start what follows it, and the initializers and the
-#: tail are possessive too, so a tail that fails costs time linear in its
-#: length.  The loop keeps the last name it took, and the conditional after
-#: it refuses a run that holds no name, such as the stray ';' of ``int x;;``.
+#: its own, and ';'.  ``name`` is the last name of the run, the member's own,
+#: since only dims may follow it.  Nothing backtracks: the run of names, '.',
+#: '[' and ']' is one possessive loop, which loses no match because no item
+#: of the run can start what follows it, and the initializers and the tail
+#: are possessive too, so a tail that fails costs time linear in its
+#: length.  The loop keeps the last name it took, and the conditional after it
+#: refuses a run that holds no name, such as the stray ';' of ``int x;;``.
 _MEMBER_RE = re.compile(
     r"""\s*(?:[.\[\]]\s*|(?P<name>NAME)\s*)*+(?(name)|(?!))
-    (?: (?P<params>\([^()"'/{}]*\))\s*(?:;|(?P<body>\{))
+    (?: (?P<params>\([^()"'/{}\x1a]*\))\s*(?:;|(?P<body>\{))
       | (?:INIT)?+(?P<tail>(?:DECLARATOR)++)?+;
     )""".replace("DECLARATOR", _DECLARATOR_RE.pattern)
     .replace("INIT", _INIT)
@@ -269,8 +268,8 @@ class _Extraction:
     """Single-file parse state: token buffer and cursor plus output accumulators.
 
     The buffer holds each token's text and start offset.  It is lexed on
-    demand, up to and including the next ';', '{', '}' or Ctrl-Z, so a body
-    that is skipped as a whole is never tokenized: :meth:`_skip_body` jumps
+    demand, through the next ';', '{' or '}' or to a Ctrl-Z token, which ends
+    the input, so a skipped body is never tokenized: :meth:`_skip_body` jumps
     from brace to brace with :data:`_TO_BRACE_RE` instead.  Line numbers are
     computed from offsets only where something is emitted or diagnosed.
 
@@ -296,12 +295,9 @@ class _Extraction:
 
     def __init__(self, unit: SourceUnit):
         self.path = unit.path
-        text = unit.text
-        if "\r" in text:  # a lone CR ends a line (JLS 3.4); as LF it keeps every offset
-            text = re.sub(r"\r(?!\n)", "\n", text)
-        if text.endswith("\x1a"):  # a final Ctrl-Z is ignored (JLS 3.5)
-            text = text[:-1]
-        self.text = text
+        self.text = unit.text
+        if "\r" in self.text:  # a lone CR ends a line (JLS 3.4); as LF it keeps every offset
+            self.text = re.sub(r"\r(?!\n)", "\n", self.text)
         self.lexed_to = 0  # offset where lexing resumes
         self.tokens: list[str] = []
         self.offsets: list[int] = []
@@ -318,7 +314,7 @@ class _Extraction:
     # -- lexer --
 
     def _fill(self) -> bool:
-        """Lex on through the next ';', '{', '}' or Ctrl-Z, or to the end; whether it lexed any."""
+        """Lex on through the next ';', '{' or '}', or to the end; whether it lexed any."""
         count = len(self.tokens)
         for match in _TOKEN_RE.finditer(self.text, self.lexed_to):
             kind = match.lastgroup
@@ -327,13 +323,14 @@ class _Extraction:
             if kind is None or kind in _COMMENTS:
                 continue
             value = match.group(kind)
+            if value == "\x1a":  # a Ctrl-Z where a token starts ends the input (JLS 3.5)
+                break
             self.tokens.append(value)
             self.offsets.append(match.start(kind))
-            if value == ";" or value == "{" or value == "}" or value == "\x1a":
+            if value == ";" or value == "{" or value == "}":
                 self.lexed_to = match.end()
-                break
-        else:
-            self.lexed_to = len(self.text)
+                return True
+        self.lexed_to = len(self.text)
         return len(self.tokens) > count
 
     def _check_closed(self, match: re.Match, kind: str) -> None:
@@ -394,14 +391,14 @@ class _Extraction:
     def _skip_body(self, open_at: int) -> None:
         """Skip the unlexed body of the '{' at text offset ``open_at`` by counting braces.
 
-        :data:`_TO_BRACE_RE` stops at each brace; where it stops at a text
-        block or at a comment or literal left open, the token scanner takes it.
+        :data:`_TO_BRACE_RE` stops at each brace and Ctrl-Z; the token scanner
+        takes a text block or a comment or literal left open where it stops.
         """
         text = self.text
         end = len(text)
         at = self.lexed_to
         depth = 1
-        while (at := _TO_BRACE_RE.match(text, at).end()) < end:
+        while (at := _TO_BRACE_RE.match(text, at).end()) < end and text[at] != "\x1a":
             char = text[at]
             if char == "{":
                 depth += 1
@@ -471,8 +468,6 @@ class _Extraction:
                 if not self._fill():
                     break
             value = self.tokens[self.pos]
-            if value == "\x1a":
-                break  # a Ctrl-Z ends the input (JLS 3.5) where a member or constant would start
             if self.bodies:
                 scope, open_at, in_constants, record = self.bodies[-1]
                 if value == "}":
@@ -867,37 +862,22 @@ def _list_tree(root: Path) -> list[str]:
     return found
 
 
-#: The most bytes one ``os.read`` of :func:`_read_unit` asks for.
-_READ_CHUNK = 1 << 16
-
-
 def _read_unit(rel: str, path: str) -> SourceUnit:
     """The unit of one listed file; an unreadable file becomes an empty unit.
 
-    ``os.read`` reads it to its end, each read at most :data:`_READ_CHUNK`
-    and the size ``fstat`` gives, then one byte that finds the end, so no
-    buffer outgrows the file.  A directory fails as ``open`` fails on one.
+    An unbuffered ``read()`` sizes its one buffer by ``fstat`` and reads to
+    the end.  Bytes that are not UTF-8 are replaced, with a diagnostic.
     """
     try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            info = os.fstat(fd)
-            if stat.S_ISDIR(info.st_mode):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            left = info.st_size
-            chunks = []
-            while chunk := os.read(fd, min(left, _READ_CHUNK) or 1):
-                chunks.append(chunk)
-                left = left - len(chunk) if left else _READ_CHUNK
-        finally:
-            os.close(fd)
-        raw = b"".join(chunks)
+        with open(path, "rb", buffering=0) as file:
+            raw = file.read()
     except OSError as exc:
         return SourceUnit(rel, "", (Diagnostic(f"unreadable file: {exc}", 0),))
-    text = raw.decode("utf-8", errors="replace").lstrip("\ufeff")
-    if "\ufffd" in text:
+    try:
+        return SourceUnit(rel, raw.decode("utf-8").lstrip("\ufeff"))
+    except UnicodeDecodeError:
+        text = raw.decode("utf-8", errors="replace").lstrip("\ufeff")
         return SourceUnit(rel, text, (Diagnostic("invalid UTF-8 bytes were replaced", 0),))
-    return SourceUnit(rel, text)
 
 
 def iter_tree(root: str | Path) -> Iterator[SourceUnit]:

@@ -11,6 +11,7 @@ from codecloud import (
     TagCloud,
     build_cloud,
     cli,
+    cloudmodel,
     evaluate,
     evaluator,
     tally_oracle,
@@ -76,6 +77,27 @@ def test_self_consistency_per_kind(lexicon, menagerie_ids):
     for kind in CloudKind:
         cloud = build_cloud(menagerie_ids, kind, lexicon, FilterConfig(), "m")
         assert evaluate(cloud, menagerie_ids, lexicon).all_perfect, kind
+
+
+def _attributes_for_methods(ids, kind):
+    """``cloudmodel._select`` with a defect: a METHOD cloud gets the attributes."""
+    if kind is CloudKind.ALL:
+        return ids
+    wanted = IdentifierKind("Attribute" if kind is CloudKind.METHOD else kind.value)
+    return (identifier for identifier in ids if identifier.kind is wanted)
+
+
+def test_oracle_selects_by_kind_itself(lexicon, menagerie_ids, monkeypatch):
+    """A broken kind filter in the pipeline is caught: the oracle does not share it.
+
+    The function object itself is patched, so every module that holds it
+    sees the defect.
+    """
+    monkeypatch.setattr(cloudmodel._select, "__code__", _attributes_for_methods.__code__)
+    cloud = build_cloud(menagerie_ids, CloudKind.METHOD, lexicon, FilterConfig(), "m")
+    attributes = {i.qualified_name for i in menagerie_ids if i.kind is IdentifierKind.ATTRIBUTE}
+    assert {name for tag in cloud.tags for name in tag.contributors} <= attributes
+    assert not evaluate(cloud, menagerie_ids, lexicon).all_perfect
 
 
 def test_self_consistency_without_stop_removal(lexicon, drawing_shapes_ids):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -548,12 +549,13 @@ def test_unreadable_file_becomes_diagnostic(tmp_path, monkeypatch):
     (tmp_path / "A.java").write_text("class A {}")
     read_from = []
 
-    def failing(fd, size):
-        read_from.append(fd)
-        raise OSError("simulated unreadable file")
+    class Failing(io.FileIO):
+        def read(self, size=-1):
+            read_from.append(self.fileno())
+            raise OSError("simulated unreadable file")
 
     with monkeypatch.context() as patch:
-        patch.setattr(os, "read", failing)
+        patch.setattr(extractor, "open", lambda path, *args, **kwargs: Failing(path), raising=False)
         units = scan_tree(tmp_path)
     assert len(units) == 1
     assert units[0].text == ""
@@ -564,7 +566,7 @@ def test_unreadable_file_becomes_diagnostic(tmp_path, monkeypatch):
 
 def test_file_larger_than_a_read_chunk_is_read_whole(tmp_path):
     lines = ["class A {"]
-    while sum(map(len, lines)) < 4 * extractor._READ_CHUNK + 1:
+    while sum(map(len, lines)) < 4 * 65536 + 1:  # more than four reads of a 64 KiB buffer
         lines.append(f"  int field{len(lines)};  // to fill the file")
     lines += ["  void last() { }", "}", ""]
     text = "\n".join(lines)
@@ -643,6 +645,13 @@ def test_invalid_utf8_is_replaced_with_diagnostic(tmp_path):
     assert any("UTF-8" in d.message for d in units[0].diagnostics)
     ids = extract_corpus(units)
     assert [i.simple_name for i in ids] == ["A", "x"]
+
+
+def test_valid_utf8_holding_a_replacement_character_gets_no_diagnostic(tmp_path):
+    """U+FFFD is a character like any other; ``javac -encoding UTF-8`` accepts it."""
+    source = 'class A { String s = "\ufffd"; }'
+    (tmp_path / "A.java").write_bytes(source.encode("utf-8"))  # "\ufffd" is EF BF BD
+    assert scan_tree(tmp_path) == [SourceUnit("A.java", source)]
 
 
 def test_broken_source_recovers_with_diagnostics(broken_dir):
@@ -884,6 +893,21 @@ def _body_at_depth(depth, statement):
         ("class A {\n class B {\n \x1a }\n}", [("unbalanced '{'", 2), ("unbalanced '{'", 1)]),
         ("enum E {\n C,\n \x1a D;\n}", [("unbalanced '{'", 1)]),
         ('class A {\n void m() { }\n \x1a "open }', [("unbalanced '{'", 1)]),
+        # and so does one in the middle of a member, a method body or a parameter list
+        (
+            "class A { int \x1a x; }",
+            [("incomplete member at end of file", 1), ("unbalanced '{'", 1)],
+        ),
+        ("class A { void m() { \x1a } }", [("unbalanced '{'", 1), ("unbalanced '{'", 1)]),
+        (
+            "class A { void m(int \x1a b) {} }",
+            [("unbalanced '('", 1), ("method declaration ends at end of file", 1),
+             ("unbalanced '{'", 1)],
+        ),
+        # inside a literal or a comment a Ctrl-Z is text, which javac accepts
+        ('class A {\n String s = "\x1a";\n char c = \'\x1a\';\n int y;\n}', []),
+        ("class A {\n /* \x1a */ int x; // \x1a\n int y;\n}", []),
+        ('class A {\n void m() { s = "\x1a"; /* \x1a */ }\n int y;\n}', []),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -1242,6 +1266,22 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.x")],
         ),
         ("enum E { C { \x1a } }", [(IdentifierKind.CLASS, "E"), (IdentifierKind.ATTRIBUTE, "E.C")]),
+        # and so does one in the middle of a member or in a method body
+        ("class A { int \x1a x; }", [(IdentifierKind.CLASS, "A")]),
+        (
+            "class A { void m() { \x1a } int x; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.METHOD, "A.m")],
+        ),
+        (
+            "class A { void m(int \x1a b) {} int x; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.METHOD, "A.m")],
+        ),
+        # a Ctrl-Z inside a literal or a comment is text
+        (
+            'class A {\n String s = "\x1a"; /* \x1a */\n void m() { c = \'\x1a\'; } // \x1a\n int y;\n}',
+            [(IdentifierKind.CLASS, "A", 1), (IdentifierKind.ATTRIBUTE, "A.s", 2),
+             (IdentifierKind.METHOD, "A.m", 3), (IdentifierKind.ATTRIBUTE, "A.y", 4)],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -1271,7 +1311,8 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "reserved_keyword_and_literal_names", "cr_line_ends", "final_ctrl_z",
          "restricted_identifier_member_names", "restricted_identifier_type_name",
          "keyword_enum_constants", "keyword_package_segment", "top_level_ctrl_z",
-         "body_ctrl_z", "enum_constant_body_ctrl_z"],
+         "body_ctrl_z", "enum_constant_body_ctrl_z", "member_ctrl_z", "method_body_ctrl_z",
+         "parameter_list_ctrl_z", "literal_and_comment_ctrl_z"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
@@ -1298,6 +1339,11 @@ _TOP_LEVEL_DIAGNOSTICS = {
     "package int.x;\nclass A {}": [("malformed package declaration", 1)],
     "class A {\n int x;\n \x1a int y;\n}": [("unbalanced '{'", 1)],
     "enum E { C { \x1a } }": [("unbalanced '{'", 1), ("unbalanced '{'", 1)],
+    "class A { int \x1a x; }": [("incomplete member at end of file", 1), ("unbalanced '{'", 1)],
+    "class A { void m() { \x1a } int x; }": [("unbalanced '{'", 1), ("unbalanced '{'", 1)],
+    "class A { void m(int \x1a b) {} int x; }": [
+        ("unbalanced '('", 1), ("method declaration ends at end of file", 1), ("unbalanced '{'", 1)
+    ],
 }
 
 

@@ -13,12 +13,13 @@ among them), pieces of declarator lists such as ``int a, b;`` and
 sealed;``, ``sealed(``), the header ``class A;``, types named by restricted
 identifiers (``class record {``, ``interface var {``), keywords where an
 enum constant or a package name goes (``enum E { int,``, ``package int.x;``),
-a Ctrl-Z before a type (``^Z class I {}``) and one where a member starts in
-a body (``{ ^Z int x;``), after an opening that leaves a class, enum,
-interface or method body open.  For each source it
-prints how many inputs give different identifiers and how many give
-different diagnostics, followed by the first few differences, and it exits
-with status 1 when any input differs.
+a Ctrl-Z before a type (``^Z class I {}``), one where a member starts in
+a body (``{ ^Z int x;``), and one in the middle of a member (``int ^Z x;``),
+a method body (``void m() { ^Z }``) or a parameter list (``(int ^Z b)``),
+after an opening that leaves a class, enum, interface or method body open.
+For each source it prints how many inputs give different identifiers and
+how many give different diagnostics, followed by the first few differences,
+and it exits with status 1 when any input differs.
 A ROOT that is not a readable directory ends the run with status 2 before
 REV is loaded.
 """
@@ -54,7 +55,7 @@ _TOKENS = (
     "package a b;", "package a..b;", "package a.*;", "\npackage c;\n",
     "int a, b;", "a,", "b[] = 2,", '= "x, y",', "\r", "\x1a", "int sealed;", "sealed(",
     "class A;", "class record {", "interface var {", "enum E { int,", "package int.x;",
-    "\x1a class I {}", "{ \x1a int x;",
+    "\x1a class I {}", "{ \x1a int x;", "int \x1a x;", "void m() { \x1a }", "(int \x1a b)",
 ]
 
 
