@@ -203,18 +203,18 @@ _DECLARATOR_RE = re.compile(
     .replace("INIT", _INIT)
 )
 
-#: The common member header, whole, at the start of a member: names, '.', '['
-#: and ']' with no comments between them, then a parameter list that holds no
-#: brackets, literals, comments, braces or Ctrl-Z and is followed by ';' or a
-#: body's '{'; or an optional simple initializer, an optional ``tail`` of
+#: The common member header, whole, at the start of a member: names, '.',
+#: '[' and ']' with no comments between them, then a parameter list that
+#: holds no brackets, literals, comments, braces or Ctrl-Z, followed by ';' or
+#: a body's '{'; or an optional simple initializer, an optional ``tail`` of
 #: further declarators, each with dims and an optional simple initializer of
-#: its own, and ';'.  ``name`` is the last name of the run, the member's own,
-#: since only dims may follow it.  Nothing backtracks: the run of names, '.',
-#: '[' and ']' is one possessive loop, which loses no match because no item
-#: of the run can start what follows it, and the initializers and the tail
-#: are possessive too, so a tail that fails costs time linear in its
-#: length.  The loop keeps the last name it took, and the conditional after it
-#: refuses a run that holds no name, such as the stray ';' of ``int x;;``.
+#: its own, and ';'.  ``name`` is the last name of the run, the member's
+#: own, since only dims may follow it.  Nothing backtracks: the run of names,
+#: '.', '[' and ']' is one possessive loop, which loses no match because no
+#: item of the run can start what follows it, and the initializers and the
+#: tail are possessive too, so a tail that fails costs time linear in its
+#: length.  The loop keeps the last name it took, and the conditional after
+#: it refuses a run that holds no name, such as the stray ';' of ``int x;;``.
 _MEMBER_RE = re.compile(
     r"""\s*(?:[.\[\]]\s*|(?P<name>NAME)\s*)*+(?(name)|(?!))
     (?: (?P<params>\([^()"'/{}\x1a]*\))\s*(?:;|(?P<body>\{))
@@ -295,9 +295,10 @@ class _Extraction:
 
     def __init__(self, unit: SourceUnit):
         self.path = unit.path
-        self.text = unit.text
-        if "\r" in self.text:  # a lone CR ends a line (JLS 3.4); as LF it keeps every offset
-            self.text = re.sub(r"\r(?!\n)", "\n", self.text)
+        text = unit.text
+        if "\r" in text:  # a lone CR ends a line (JLS 3.4); as LF it keeps every offset
+            text = re.sub(r"\r(?!\n)", "\n", text)
+        self.text = text
         self.lexed_to = 0  # offset where lexing resumes
         self.tokens: list[str] = []
         self.offsets: list[int] = []
@@ -323,7 +324,7 @@ class _Extraction:
             if kind is None or kind in _COMMENTS:
                 continue
             value = match.group(kind)
-            if value == "\x1a":  # a Ctrl-Z where a token starts ends the input (JLS 3.5)
+            if value == "\x1a":  # a Ctrl-Z where a token starts ends the input, as in javac
                 break
             self.tokens.append(value)
             self.offsets.append(match.start(kind))
