@@ -555,7 +555,7 @@ def test_unreadable_file_becomes_diagnostic(tmp_path, monkeypatch):
             raise OSError("simulated unreadable file")
 
     with monkeypatch.context() as patch:
-        patch.setattr(extractor, "open", lambda path, *args, **kwargs: Failing(path), raising=False)
+        patch.setattr(extractor, "open", lambda path, *_, **__: Failing(path), raising=False)
         units = scan_tree(tmp_path)
     assert len(units) == 1
     assert units[0].text == ""
@@ -893,21 +893,6 @@ def _body_at_depth(depth, statement):
         ("class A {\n class B {\n \x1a }\n}", [("unbalanced '{'", 2), ("unbalanced '{'", 1)]),
         ("enum E {\n C,\n \x1a D;\n}", [("unbalanced '{'", 1)]),
         ('class A {\n void m() { }\n \x1a "open }', [("unbalanced '{'", 1)]),
-        # and so does one in the middle of a member, a method body or a parameter list
-        (
-            "class A { int \x1a x; }",
-            [("incomplete member at end of file", 1), ("unbalanced '{'", 1)],
-        ),
-        ("class A { void m() { \x1a } }", [("unbalanced '{'", 1), ("unbalanced '{'", 1)]),
-        (
-            "class A { void m(int \x1a b) {} }",
-            [("unbalanced '('", 1), ("method declaration ends at end of file", 1),
-             ("unbalanced '{'", 1)],
-        ),
-        # inside a literal or a comment a Ctrl-Z is text, which javac accepts
-        ('class A {\n String s = "\x1a";\n char c = \'\x1a\';\n int y;\n}', []),
-        ("class A {\n /* \x1a */ int x; // \x1a\n int y;\n}", []),
-        ('class A {\n void m() { s = "\x1a"; /* \x1a */ }\n int y;\n}', []),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -1266,19 +1251,21 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.x")],
         ),
         ("enum E { C { \x1a } }", [(IdentifierKind.CLASS, "E"), (IdentifierKind.ATTRIBUTE, "E.C")]),
-        # and so does one in the middle of a member or in a method body
+        # and so does one in the middle of a member, a method body or a parameter
+        # list; javac reports "reached end of file while parsing" on each
         ("class A { int \x1a x; }", [(IdentifierKind.CLASS, "A")]),
         (
-            "class A { void m() { \x1a } int x; }",
+            "class A { void m() { \x1a } }",
             [(IdentifierKind.CLASS, "A"), (IdentifierKind.METHOD, "A.m")],
         ),
         (
-            "class A { void m(int \x1a b) {} int x; }",
+            "class A { void m(int \x1a b) {} }",
             [(IdentifierKind.CLASS, "A"), (IdentifierKind.METHOD, "A.m")],
         ),
-        # a Ctrl-Z inside a literal or a comment is text
+        # a Ctrl-Z inside a literal or a comment is text, which javac accepts
         (
-            'class A {\n String s = "\x1a"; /* \x1a */\n void m() { c = \'\x1a\'; } // \x1a\n int y;\n}',
+            'class A {\n String s = "\x1a"; /* \x1a */\n'
+            " void m() { c = '\x1a'; } // \x1a\n int y;\n}",
             [(IdentifierKind.CLASS, "A", 1), (IdentifierKind.ATTRIBUTE, "A.s", 2),
              (IdentifierKind.METHOD, "A.m", 3), (IdentifierKind.ATTRIBUTE, "A.y", 4)],
         ),
@@ -1340,8 +1327,8 @@ _TOP_LEVEL_DIAGNOSTICS = {
     "class A {\n int x;\n \x1a int y;\n}": [("unbalanced '{'", 1)],
     "enum E { C { \x1a } }": [("unbalanced '{'", 1), ("unbalanced '{'", 1)],
     "class A { int \x1a x; }": [("incomplete member at end of file", 1), ("unbalanced '{'", 1)],
-    "class A { void m() { \x1a } int x; }": [("unbalanced '{'", 1), ("unbalanced '{'", 1)],
-    "class A { void m(int \x1a b) {} int x; }": [
+    "class A { void m() { \x1a } }": [("unbalanced '{'", 1), ("unbalanced '{'", 1)],
+    "class A { void m(int \x1a b) {} }": [
         ("unbalanced '('", 1), ("method declaration ends at end of file", 1), ("unbalanced '{'", 1)
     ],
 }
