@@ -914,13 +914,9 @@ def extract_units(
     deduplicated across the units by qualified name, keeping the first
     occurrence.
     """
-    return _assemble((unit, extract_identifiers(unit)) for unit in units)
-
-
-def _assemble(extracted) -> Iterator[tuple[SourceUnit, list[Identifier], list[Diagnostic]]]:
-    """:func:`extract_units` over ``(unit, (identifiers, diagnostics))`` pairs."""
     seen_packages: set[str] = set()
-    for unit, (ids, diagnostics) in extracted:
+    for unit in units:
+        ids, diagnostics = extract_identifiers(unit)
         kept = []
         for identifier in ids:
             if identifier.kind is _PACKAGE:
@@ -931,25 +927,11 @@ def _assemble(extracted) -> Iterator[tuple[SourceUnit, list[Identifier], list[Di
         yield unit, kept, [*unit.diagnostics, *diagnostics]
 
 
-def extract_corpus(units: list[SourceUnit], parallel: bool = False) -> list[Identifier]:
+def extract_corpus(units: Iterable[SourceUnit], parallel: bool = False) -> list[Identifier]:
     """Every unit's identifiers from :func:`extract_units`, in path order, as one list.
 
-    With the opt-in ``parallel=True`` that the benchmark harness times, the
-    units are extracted across a process pool instead and then assembled
-    the same way.
+    ``parallel`` is accepted and ignored: extraction always runs in the
+    calling process.  The keyword stays only while the benchmark harness
+    still passes it.
     """
-    results = None
-    if parallel:
-        import logging
-        from concurrent import futures
-
-        try:
-            with futures.ProcessPoolExecutor() as pool:
-                chunk = max(1, len(units) // (4 * (os.cpu_count() or 1)))
-                results = list(pool.map(extract_identifiers, units, chunksize=chunk))
-        except OSError as exc:  # e.g. sandboxes without working semaphores
-            logging.getLogger(__name__).warning(
-                "parallel extraction unavailable (%s); running sequentially", exc
-            )
-    stream = extract_units(units) if results is None else _assemble(zip(units, results))
-    return [identifier for _, ids, _ in stream for identifier in ids]
+    return [identifier for _, ids, _ in extract_units(units) for identifier in ids]

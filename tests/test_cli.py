@@ -327,25 +327,26 @@ def test_no_stopwords_flag(drawing_shapes_dir):
     assert "all" in stems
 
 
-def test_determinism_sequential_and_parallel(big_corpus, lexicon):
+def test_determinism_cli_runs_and_list_api(big_corpus, lexicon):
     root = big_corpus.root
-    ids = extract_corpus(scan_tree(root), parallel=True)
+    ids = extract_corpus(scan_tree(root))
     cloud = build_cloud(ids, CloudKind.ALL, lexicon, FilterConfig(), root.name)
-    parallel = render_svg(cloud, RenderConfig())
+    expected = render_svg(cloud, RenderConfig())
     for _ in range(2):
         result = run_cli("cloud", root, "--format", "svg")
         assert result.returncode == 0
-        assert result.stdout == parallel
+        assert result.stdout == expected
 
 
 def test_cli_starts_no_worker_process(big_corpus, monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("the CLI started a process pool")
+        raise AssertionError("a process pool was started")
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     root = big_corpus.root
     assert cli.main(["cloud", str(root), "--format", "svg"]) == 0
     assert cli.main(["eval", str(root)]) == 0
+    assert extract_corpus(scan_tree(root), parallel=True)  # the keyword is ignored
 
 
 def test_cloud_holds_one_file_at_a_time(big_corpus, monkeypatch):
@@ -484,9 +485,9 @@ def test_eval_perfect_on_letter_numbers(tmp_path):
     assert "all tags perfect: yes" in result.stdout
 
 
-#: Needed only by the opt-in extraction pool, by CSV or JSON output, by one
-#: command (the renderer by ``cloud``, the evaluator by ``eval``), or by
-#: nothing that runs, so start-up must not import them.
+#: Needed only by CSV or JSON output, by one command (the renderer by
+#: ``cloud``, the evaluator by ``eval``), or by nothing that runs (``logging``,
+#: ``concurrent.futures``), so start-up must not import them.
 _NOT_AT_START_UP = {
     "dataclasses", "inspect", "logging", "concurrent.futures", "csv", "json", "html",
     "codecloud.evaluator", "codecloud.renderer",

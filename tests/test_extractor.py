@@ -475,12 +475,6 @@ def test_extraction_is_deterministic(drawing_shapes_dir):
     assert first == second
 
 
-def test_parallel_matches_sequential(menagerie_dir):
-    units_a = scan_tree(menagerie_dir)
-    units_b = scan_tree(menagerie_dir)
-    assert extract_corpus(units_a, parallel=True) == extract_corpus(units_b, parallel=False)
-
-
 def test_scan_tree_empty_directory(tmp_path):
     assert scan_tree(tmp_path) == []
 
