@@ -430,6 +430,21 @@ class _Extraction:
         if self._peek() == "(":
             self._skip_balanced()
 
+    def _past_annotation(self, ahead: int) -> int:
+        """The offset past the annotation at offset ``ahead``, or of its '(' if left open."""
+        ahead += 1
+        while _is_name(self._peek(ahead)) and self._peek(ahead + 1) == ".":
+            ahead += 2
+        if not _is_name(self._peek(ahead)) or self._peek(ahead + 1) != "(":
+            return ahead
+        close, depth = ahead + 1, 1
+        while depth:
+            close += 1
+            if not (token := self._peek(close)):
+                return ahead + 1
+            depth += (token == "(") - (token == ")")
+        return close + 1
+
     def _skip_statement(self) -> None:
         """Recovery: drop tokens up to the next ';', balanced '{...}', or '}'."""
         while self.pos < len(self.tokens) or self._fill():
@@ -789,9 +804,10 @@ class _Extraction:
         ``first_at`` is the position of the first declarator, where an
         unfinished declaration is reported.  A comma outside brackets starts a
         declarator exactly when the run of names, ',', '[', ']', '@' and '.'
-        after it ends at '=' or ';' (or '}' or the end, in malformed input);
-        a comma inside type arguments (``new HashMap<K, V>()``) reaches '>'
-        or another token first.  Each run is scanned once, for its first comma.
+        after it, with an annotation's argument list (``b @T(1) []``), ends at
+        '=' or ';' (or '}' or the end, in malformed input); a comma inside
+        type arguments (``new HashMap<K, V>()``) reaches '>' or another token
+        first.  Each run is scanned once, for its first comma.
         """
         run_end = -1  # position of the token that ends the latest run scanned
         while self.pos < len(self.tokens) or self._fill():
@@ -810,7 +826,7 @@ class _Extraction:
                 if self.pos > run_end:
                     ahead = 1
                     while (token := self._peek(ahead)) in _DECLARATOR_RUN or _is_name(token):
-                        ahead += 1
+                        ahead = self._past_annotation(ahead) if token == "@" else ahead + 1
                     run_end = self.pos + ahead
                     separates = token in _DECLARATOR_RUN_ENDS
                 expect_name = expect_name or separates

@@ -1263,6 +1263,23 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             [(IdentifierKind.CLASS, "A", 1), (IdentifierKind.ATTRIBUTE, "A.s", 2),
              (IdentifierKind.METHOD, "A.m", 3), (IdentifierKind.ATTRIBUTE, "A.y", 4)],
         ),
+        # an annotation with arguments on a later declarator's dims, after an
+        # initializer; javac 17 accepts each with a TYPE_USE annotation T
+        (
+            "class A { int a = 0, b @T(1) [], c; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.a"),
+             (IdentifierKind.ATTRIBUTE, "A.b"), (IdentifierKind.ATTRIBUTE, "A.c")],
+        ),
+        (
+            "class A { int a = 0, b @T(x = 1) [], c = 2; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.a"),
+             (IdentifierKind.ATTRIBUTE, "A.b"), (IdentifierKind.ATTRIBUTE, "A.c")],
+        ),
+        (
+            "class A { int a = 0, b @p.T(1) [], c; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.a"),
+             (IdentifierKind.ATTRIBUTE, "A.b"), (IdentifierKind.ATTRIBUTE, "A.c")],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -1293,7 +1310,9 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "restricted_identifier_member_names", "restricted_identifier_type_name",
          "keyword_enum_constants", "keyword_package_segment", "top_level_ctrl_z",
          "body_ctrl_z", "enum_constant_body_ctrl_z", "member_ctrl_z", "method_body_ctrl_z",
-         "parameter_list_ctrl_z", "literal_and_comment_ctrl_z"],
+         "parameter_list_ctrl_z", "literal_and_comment_ctrl_z",
+         "annotation_arguments_on_later_dims", "annotation_element_on_later_dims",
+         "qualified_annotation_arguments_on_later_dims"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too

@@ -8,12 +8,12 @@ each ROOT and on N seeded token soups: random sequences of Java keywords,
 names, punctuation, literals, comments, member-shaped pieces such as
 ``int m() {`` and header-shaped ones such as ``package a.b;`` and
 ``public class A {`` (malformed package names such as ``package a..b;``
-among them), pieces of declarator lists such as ``int a, b;`` and
-``b[] = 2,``, a lone CR, a Ctrl-Z, members named ``sealed`` (``int
-sealed;``, ``sealed(``), the header ``class A;``, types named by restricted
-identifiers (``class record {``, ``interface var {``), keywords where an
-enum constant or a package name goes (``enum E { int,``, ``package int.x;``),
-a Ctrl-Z before a type (``^Z class I {}``), one where a member starts in
+among them), pieces of declarator lists such as ``int a, b;``,
+``b[] = 2,`` and ``b @T(1) [],``, a lone CR, a Ctrl-Z, members named
+``sealed`` (``int sealed;``, ``sealed(``), the header ``class A;``, types
+named by restricted identifiers (``class record {``, ``interface var {``),
+keywords where an enum constant or a package name goes (``enum E { int,``,
+``package int.x;``), a Ctrl-Z before a type (``^Z class I {}``), one where a member starts in
 a body (``{ ^Z int x;``), and one in the middle of a member (``int ^Z x;``),
 a method body (``void m() { ^Z }``) or a parameter list (``(int ^Z b)``),
 after an opening that leaves a class, enum, interface or method body open.
@@ -53,8 +53,9 @@ _TOKENS = (
     "int m() {", "m() {", "a / b", "/** } */", "'{'", "package a.b;", "import a.*;",
     "import static a.B.c;", "/** d */", "public class A {", "enum E {",
     "package a b;", "package a..b;", "package a.*;", "\npackage c;\n",
-    "int a, b;", "a,", "b[] = 2,", '= "x, y",', "\r", "\x1a", "int sealed;", "sealed(",
-    "class A;", "class record {", "interface var {", "enum E { int,", "package int.x;",
+    "int a, b;", "a,", "b[] = 2,", "b @T(1) [],", '= "x, y",', "\r", "\x1a",
+    "int sealed;", "sealed(", "class A;", "class record {", "interface var {", "enum E { int,",
+    "package int.x;",
     "\x1a class I {}", "{ \x1a int x;", "int \x1a x;", "void m() { \x1a }", "(int \x1a b)",
 ]
 
