@@ -39,16 +39,59 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-#: Java identifier shape: letter/underscore/dollar start, then letters,
-#: digits, underscores, dollars.  The parser emits only tokens that
-#: ``_is_name`` accepts, which have this shape; tests check names against it.
-IDENTIFIER_RE = re.compile(r"[^\W\d][\w$]*|[_$][\w$]*")
+#: The lexical pieces that every pattern below is built from, each written
+#: once.  A `WORD` stands for the piece of that name (:func:`_expand`).
+#: ``WS`` and ``ASCII_PART`` are class bodies, so that a class can hold them
+#: too.  No piece holds a space or '#', so each reads the same under VERBOSE.
+_PIECES = {
+    "WS": r"\s",  # white space between tokens
+    # a name's first and later characters, as the token parser reads them
+    "NAME_START": r"(?:[^\W\d]|\$)",
+    "NAME_PART": r"[\w$]",
+    # the fast path's names, which are ASCII
+    "ASCII_PART": "A-Za-z0-9_$",
+    "ASCII_NAME": "[A-Za-z_$][`ASCII_PART`]*+",
+    "TYPE_KEYWORDS": "class|interface|enum",  # in the order the patterns try them
+    "MODIFIERS": "abstract|default|final|native|private|protected|public|sealed|static"
+    "|strictfp|synchronized|transient|volatile",
+    # What follows the opening of a block comment, a string and a character
+    # literal, up to its close or the first place it cannot go on, so that
+    # :data:`_TOKEN_RE` and :data:`_TO_BRACE_RE` agree on where each one
+    # ends.  A backslash escapes the next character in a literal, so an
+    # escaped quote never closes one; only a text block lets it escape a
+    # line break.
+    "BLOCK": r"(?:[^*]++|\*(?!/))*+",
+    "STRING": r'(?:\\[^\n]|[^"\\\n])*+',
+    "CHAR": r"(?:\\[^\n]|[^'\\\n])*+",
+    # A simple initializer: '=', then a one-line string without escapes, a
+    # decimal run or a name.
+    "INIT": r"""=[`WS`]*+(?:"[^"\\\n]*+"|[0-9]++|`ASCII_NAME`)[`WS`]*+""",
+    "DOTTED": r"`ASCII_NAME`(?:[`WS`]*+\.[`WS`]*+`ASCII_NAME`)*+",
+    # A field declarator after the first: ',', the ``next`` name, its dims
+    # and a simple initializer.  The name needs none of ``MEMBER_NAME``'s
+    # lookarounds: only what may follow it can end it, the caller refuses
+    # the keywords ``class``, ``interface`` and ``enum``, and the token
+    # parser too takes ``record`` here as a field's name.
+    "DECLARATOR": r",[`WS`]*+(?P<next>`ASCII_NAME`)[`WS`]*+(?:\[[`WS`]*+\][`WS`]*+)*+(?:`INIT`)?+",
+    # An ASCII name that is not a type keyword, followed by a character that
+    # ends a name and may follow one in a member header.
+    "MEMBER_NAME": r"(?!(?:`TYPE_KEYWORDS`|record)`NAME_END`)`ASCII_NAME`(?=`NAME_END`)",
+    "NAME_END": r"[`WS`.\[\](;=,]",
+}
 
-_MODIFIERS = frozenset(
-    "public private protected static final abstract native synchronized "
-    "transient volatile strictfp default sealed".split()
-)
-_TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
+
+def _expand(text: str) -> str:
+    """``text`` with each `WORD` replaced by that piece, expanded too; KeyError if none."""
+    return re.sub(r"`(\w+)`", lambda word: _expand(_PIECES[word[1]]), text)
+
+
+#: Java identifier shape: a letter, '_' or '$', then letters, digits, '_'
+#: and '$'.  The parser emits only tokens that ``_is_name`` accepts, which
+#: have this shape; tests check names against it.
+IDENTIFIER_RE = re.compile(_expand("`NAME_START``NAME_PART`*"))
+
+_MODIFIERS = frozenset(_PIECES["MODIFIERS"].split("|"))
+_TYPE_KEYWORDS = frozenset(_PIECES["TYPE_KEYWORDS"].split("|"))
 #: The reserved keywords (JLS 3.9) and the literals ``true``, ``false`` and
 #: ``null``: no declaration is named by one.  Contextual keywords such as
 #: ``sealed`` and ``record`` are names.
@@ -118,44 +161,23 @@ def identifier_to_dict(identifier: Identifier) -> dict:
 
 # --- lexer ---------------------------------------------------------------
 
-#: What follows the opening of a block comment, a string and a character
-#: literal, up to its close or the first place it cannot go on.  Shared by
-#: :data:`_TOKEN_RE` and :data:`_TO_BRACE_RE`, so that the two agree on where
-#: each one ends.  A backslash escapes the next character in a literal, so an
-#: escaped quote never closes one; only a text block lets it escape a line
-#: break.
-_BLOCK_COMMENT_BODY = r"(?:[^*]++|\*(?!/))*+"
-_STRING_BODY = r'(?:\\[^\n]|[^"\\\n])*+'
-_CHAR_BODY = r"(?:\\[^\n]|[^'\\\n])*+"
-
-
-def _with_bodies(pattern: str) -> str:
-    """``pattern`` with BLOCK, STRING and CHAR replaced by the bodies above."""
-    return (
-        pattern.replace("BLOCK", _BLOCK_COMMENT_BODY)
-        .replace("STRING", _STRING_BODY)
-        .replace("CHAR", _CHAR_BODY)
-    )
-
-
 #: One token after optional whitespace: a comment or literal whole, a name,
-#: a number or one punctuation character.  The final ``\Z`` takes trailing
-#: whitespace in one match; without it every trailing position would be
-#: searched again, which is quadratic in the length of the tail.
+#: a number or one punctuation character, which ``\S``, the complement of
+#: ``WS``, takes.  The final ``\Z`` takes trailing whitespace in one match;
+#: without it every trailing position would be searched again, which is
+#: quadratic in the length of the tail.
 _TOKEN_RE = re.compile(
-    _with_bodies(
-        r"""\s*(?:
+    _expand(r"""[`WS`]*(?:
       (?P<line_comment>//[^\n]*)
-    | (?P<block_comment>/\*BLOCK(?:(?P<block_comment_end>\*/)|\Z))
+    | (?P<block_comment>/\*`BLOCK`(?:(?P<block_comment_end>\*/)|\Z))
     | (?P<text_block>\"{3}(?:\\.|.)*?(?:(?P<text_block_end>\"{3})|\Z))
-    | (?P<string>"STRING(?P<string_end>")?)
-    | (?P<char>'CHAR(?P<char_end>')?)
-    | (?P<ident>(?:[^\W\d]|\$)[\w$]*)
+    | (?P<string>"`STRING`(?P<string_end>")?)
+    | (?P<char>'`CHAR`(?P<char_end>')?)
+    | (?P<ident>`NAME_START``NAME_PART`*)
     | (?P<number>[0-9][0-9a-zA-Z_]*(?:\.[0-9a-zA-Z_]*)?(?:[eEpP][+-]?[0-9]+)?|\.[0-9][0-9a-zA-Z_]*)
     | (?P<punct>\S)
     | \Z
-    )"""
-    ),
+    )"""),
     re.VERBOSE | re.DOTALL,
 )
 
@@ -167,7 +189,7 @@ _TOKEN_RE = re.compile(
 #: the engine keeps no backtracking point per item: it scans about a tenth
 #: faster than the same pattern with greedy quantifiers.
 _TO_BRACE_RE = re.compile(
-    _with_bodies(r"""(?:[^{}"'/\x1a]++|//[^\n]*+|/\*BLOCK\*/|"(?!"")STRING"|'CHAR'|/(?![/*]))*+""")
+    _expand(r"""(?:[^{}"'/\x1a]++|//[^\n]*+|/\*`BLOCK`\*/|"(?!"")`STRING`"|'`CHAR`'|/(?![/*]))*+""")
 )
 
 #: group -> (its closing delimiter's group, name in the diagnostic)
@@ -180,28 +202,9 @@ _CLOSERS = {
 _COMMENTS = frozenset({"line_comment", "block_comment"})
 
 #: A token is a name exactly when it starts the way the ``ident`` group does.
-_is_name = re.compile(r"[^\W\d]|\$").match
+_is_name = re.compile(_expand("`NAME_START`")).match
 
-#: An ASCII name that is not a type keyword, followed by a character that
-#: ends a name and may follow one in a member header.
-_HEADER_NAME = (
-    r"(?!(?:class|interface|enum|record)ENDS)[A-Za-z_$][A-Za-z0-9_$]*+(?=ENDS)"
-    .replace("ENDS", r"[\s.\[\](;=,]")
-)
-
-#: A simple initializer: '=', then a one-line string without escapes, a
-#: decimal run or a name.
-_INIT = r"""=\s*+(?:"[^"\\\n]*+"|[0-9]++|[A-Za-z_$][A-Za-z0-9_$]*+)\s*+"""
-
-#: A field declarator after the first: ',', the ``next`` name, its dims and
-#: a simple initializer.  The name needs none of :data:`_HEADER_NAME`'s
-#: lookarounds: only what may follow it can end it, the caller refuses the
-#: keywords ``class``, ``interface`` and ``enum``, and the token parser too
-#: takes ``record`` here as a field's name.
-_DECLARATOR_RE = re.compile(
-    r",\s*+(?P<next>[A-Za-z_$][A-Za-z0-9_$]*+)\s*+(?:\[\s*+\]\s*+)*+(?:INIT)?+"
-    .replace("INIT", _INIT)
-)
+_DECLARATOR_RE = re.compile(_expand("`DECLARATOR`"))
 
 #: The common member header, whole, at the start of a member: names, '.',
 #: '[' and ']' with no comments between them, then a parameter list that
@@ -216,12 +219,10 @@ _DECLARATOR_RE = re.compile(
 #: length.  The loop keeps the last name it took, and the conditional after
 #: it refuses a run that holds no name, such as the stray ';' of ``int x;;``.
 _MEMBER_RE = re.compile(
-    r"""\s*(?:[.\[\]]\s*|(?P<name>NAME)\s*)*+(?(name)|(?!))
-    (?: (?P<params>\([^()"'/{}\x1a]*\))\s*(?:;|(?P<body>\{))
-      | (?:INIT)?+(?P<tail>(?:DECLARATOR)++)?+;
-    )""".replace("DECLARATOR", _DECLARATOR_RE.pattern)
-    .replace("INIT", _INIT)
-    .replace("NAME", _HEADER_NAME),
+    _expand(r"""[`WS`]*(?:[.\[\]][`WS`]*|(?P<name>`MEMBER_NAME`)[`WS`]*)*+(?(name)|(?!))
+    (?: (?P<params>\([^()"'/{}\x1a]*\))[`WS`]*(?:;|(?P<body>\{))
+      | (?:`INIT`)?+(?P<tail>(?:`DECLARATOR`)++)?+;
+    )"""),
     re.VERBOSE,
 )
 
@@ -229,7 +230,7 @@ _MEMBER_RE = re.compile(
 #: comments is skipped one match each, so a declaration that then fails to
 #: match never backtracks into a comment's text; a comment left open matches
 #: nothing and stays with the token parser, which diagnoses it.
-_GAP_RE = re.compile(_with_bodies(r"\s*+(?://[^\n]*+|/\*BLOCK\*/)"))
+_GAP_RE = re.compile(_expand(r"[`WS`]*+(?://[^\n]*+|/\*`BLOCK`\*/)"))
 
 #: The common top-level declaration, whole, with no comments inside it: a
 #: package declaration, whose dotted name is ``qualified``; a single-type or
@@ -237,19 +238,17 @@ _GAP_RE = re.compile(_with_bodies(r"\s*+(?://[^\n]*+|/\*BLOCK\*/)"))
 #: ``class``, ``interface`` or ``enum``, and an ASCII ``name``, followed by
 #: nothing but names, '.', ',' and whitespace up to its body's '{'.
 _HEADER_RE = re.compile(
-    r"""\s*+(?:
-        (?P<package>package)\s++(?P<qualified>DOTTED)\s*+;
-      | import\s++(?:static\s++)?+DOTTED(?:\s*+\.\s*+\*)?+\s*+;
-      | (?:(?:MODIFIERS)\s++)*+(?P<keyword>class|interface|enum)\s++(?P<name>NAME)
-        [A-Za-z0-9_$.,\s]*+\{
-    )""".replace("DOTTED", r"NAME(?:\s*+\.\s*+NAME)*+")
-    .replace("NAME", r"[A-Za-z_$][A-Za-z0-9_$]*+")
-    .replace("MODIFIERS", "|".join(sorted(_MODIFIERS))),
+    _expand(r"""[`WS`]*+(?:
+        (?P<package>package)[`WS`]++(?P<qualified>`DOTTED`)[`WS`]*+;
+      | import[`WS`]++(?:static[`WS`]++)?+`DOTTED`(?:[`WS`]*+\.[`WS`]*+\*)?+[`WS`]*+;
+      | (?:(?:`MODIFIERS`)[`WS`]++)*+(?P<keyword>`TYPE_KEYWORDS`)[`WS`]++(?P<name>`ASCII_NAME`)
+        [`ASCII_PART`.,`WS`]*+\{
+    )"""),
     re.VERBOSE,
 )
 
 #: The '}' that closes a type body, after nothing but whitespace.
-_CLOSE_RE = re.compile(r"\s*+\}")
+_CLOSE_RE = re.compile(_expand(r"[`WS`]*+\}"))
 
 
 # --- parser --------------------------------------------------------------
