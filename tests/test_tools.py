@@ -1,11 +1,16 @@
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 REPO = Path(__file__).parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 import cli_diff  # noqa: E402  (the CLI comparison tool)
+import extractor_diff  # noqa: E402  (the extractor comparison tool)
+
+from codecloud import extractor  # noqa: E402
 
 
 def test_extractor_diff_rejects_a_root_that_is_a_file(tmp_path):
@@ -19,6 +24,15 @@ def test_extractor_diff_rejects_a_root_that_is_a_file(tmp_path):
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("extractor_diff: ")
     assert len(done.stderr.splitlines()) == 1
+
+
+def test_extractor_diff_names_the_patterns_whose_compiled_code_differs():
+    assert extractor_diff.differing_patterns(extractor, extractor) == []
+    changed = types.ModuleType("changed")
+    changed.__dict__.update(vars(extractor))
+    changed._CLOSE_RE = re.compile(r"\s*\}")  # greedy where the module's is possessive
+    changed._is_name = re.compile(r"[^\W\d]|\$").match  # another spelling of the same code
+    assert extractor_diff.differing_patterns(extractor, changed) == ["_CLOSE_RE"]
 
 
 def test_cli_diff_masks_only_the_run_time():

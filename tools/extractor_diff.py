@@ -3,14 +3,17 @@
     python tools/extractor_diff.py REV [ROOT ...] [--soups N] [--seed S]
 
 Loads ``src/codecloud/extractor.py`` as it is at REV (through ``git show``)
-next to the working tree's copy and runs both on every ``.java`` file under
-each ROOT and on N seeded token soups: random sequences of Java keywords,
+next to the working tree's copy.  It first prints each module-level compiled
+pattern (or bound method of one, such as ``_is_name``) whose ``_sre`` code
+differs between the two, or ``patterns: 0 differ``; a pattern that differs
+does not change the exit status.  Then it runs both on every ``.java`` file
+under each ROOT and on N seeded token soups: random sequences of Java keywords,
 names, punctuation, literals, comments, member-shaped pieces such as
 ``int m() {`` and header-shaped ones such as ``package a.b;`` and
 ``public class A {`` (malformed package names such as ``package a..b;``
 among them), pieces of declarator lists such as ``int a, b;``,
-``b[] = 2,`` and ``b @T(1) [],``, a lone CR, a Ctrl-Z, members named
-``sealed`` (``int sealed;``, ``sealed(``), the header ``class A;``, types
+``b[] = 2,``, ``b @T(1) [],``, ``, @T b`` and ``, @T(1) b``, a lone CR, a
+Ctrl-Z, members named ``sealed`` (``int sealed;``, ``sealed(``), the header ``class A;``, types
 named by restricted identifiers (``class record {``, ``interface var {``),
 keywords where an enum constant or a package name goes (``enum E { int,``,
 ``package int.x;``), a Ctrl-Z before a type (``^Z class I {}``), one where a member starts in
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import subprocess
 import sys
 import types
@@ -57,6 +61,7 @@ _TOKENS = (
     "int sealed;", "sealed(", "class A;", "class record {", "interface var {", "enum E { int,",
     "package int.x;",
     "\x1a class I {}", "{ \x1a int x;", "int \x1a x;", "void m() { \x1a }", "(int \x1a b)",
+    ", @T b", ", @T(1) b",
 ]
 
 
@@ -70,6 +75,26 @@ def load_at(rev: str) -> types.ModuleType:
     sys.modules[module.__name__] = module  # dataclasses look their module up
     exec(compile(shown.stdout, name, "exec"), module.__dict__)
     return module
+
+
+def compiled(value) -> list[int] | None:
+    """The ``_sre`` code of a compiled pattern or of one's bound method, else None."""
+    pattern = getattr(value, "__self__", value)
+    if not isinstance(pattern, re.Pattern):
+        return None
+    return re._compiler._code(re._parser.parse(pattern.pattern, pattern.flags), pattern.flags)
+
+
+def differing_patterns(old: types.ModuleType, new: types.ModuleType) -> list[str]:
+    """Names of the module-level patterns whose compiled code ``old`` and ``new`` differ in.
+
+    A pattern that only one module has differs too.
+    """
+    names = sorted({*vars(old), *vars(new)})
+    return [
+        name for name in names
+        if compiled(getattr(old, name, None)) != compiled(getattr(new, name, None))
+    ]
 
 
 def outcome(module: types.ModuleType, path: str, text: str):
@@ -128,6 +153,8 @@ def main(argv: list[str] | None = None) -> int:
     except extractor.CorpusError as exc:
         parser.exit(2, f"extractor_diff: {exc}\n")
     old = load_at(args.rev)
+    patterns = differing_patterns(old, extractor)
+    print(f"patterns: {len(patterns)} differ" + "".join(f"\n  {name}" for name in patterns))
     differ = 0
     for root, units in trees:
         differ += compare(root, ((unit.path, unit.text) for unit in units), old)
