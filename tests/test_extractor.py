@@ -433,6 +433,25 @@ def test_simple_names_match_lexical_rule(menagerie_ids, drawing_shapes_ids):
         assert IDENTIFIER_RE.fullmatch(identifier.simple_name)
 
 
+def test_name_classes_agree():
+    """On every code point below U+10000, ``_is_name``, ``IDENTIFIER_RE`` and
+    ``_TOKEN_RE``'s ``ident`` group agree on what starts a name and, after
+    ``a``, on what continues one; the fast path's ASCII name is their ASCII
+    subset."""
+    ascii_name = re.compile(extractor._expand("`ASCII_NAME`")).fullmatch
+    token = extractor._TOKEN_RE.match
+    for code in range(0x10000):
+        char = chr(code)
+        starts = extractor._is_name(char) is not None
+        assert starts == (IDENTIFIER_RE.fullmatch(char) is not None), hex(code)
+        assert starts == (token(char).lastgroup == "ident"), hex(code)
+        assert (ascii_name(char) is not None) == (starts and code < 128), hex(code)
+        name = "a" + char
+        continues = IDENTIFIER_RE.fullmatch(name) is not None
+        assert continues == (token(name).group("ident") == name), hex(code)
+        assert (ascii_name(name) is not None) == (continues and code < 128), hex(code)
+
+
 def test_menagerie_hand_count(menagerie_ids):
     counts = {kind: 0 for kind in IdentifierKind}
     for identifier in menagerie_ids:
