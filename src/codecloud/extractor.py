@@ -815,6 +815,10 @@ class _Extraction:
                 if value not in _KEYWORDS_NEVER_NAMES:
                     self._emit(_ATTRIBUTE, value, scope, self.pos)
                 expect_name = False
+            elif expect_name and value == "@":  # javac: "<identifier> expected"
+                self._diag("unexpected '@' in field declarators", self.pos)
+                self._skip_annotation()
+                continue
             elif value in _OPEN_TO_CLOSE or value == "{":
                 self._skip_balanced()
                 continue

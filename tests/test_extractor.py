@@ -906,6 +906,13 @@ def _body_at_depth(depth, statement):
         ("class A {\n class B {\n \x1a }\n}", [("unbalanced '{'", 2), ("unbalanced '{'", 1)]),
         ("enum E {\n C,\n \x1a D;\n}", [("unbalanced '{'", 1)]),
         ('class A {\n void m() { }\n \x1a "open }', [("unbalanced '{'", 1)]),
+        # an annotation where a later declarator's name goes, at its own line
+        ("class A {\n int a,\n @T b;\n}", [("unexpected '@' in field declarators", 3)]),
+        (
+            "class A {\n int a = 0,\n @T(1)\n @U b, c;\n}",
+            [("unexpected '@' in field declarators", 3),
+             ("unexpected '@' in field declarators", 4)],
+        ),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -1299,6 +1306,18 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.a"),
              (IdentifierKind.ATTRIBUTE, "A.b"), (IdentifierKind.ATTRIBUTE, "A.c")],
         ),
+        # an annotation where a later declarator's name goes is skipped, and the
+        # name after it is the declarator's; javac 17: "<identifier> expected"
+        (
+            "class A { int a, @T b; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.a"),
+             (IdentifierKind.ATTRIBUTE, "A.b")],
+        ),
+        (
+            "class A { int a = 0, @T(1) b; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.a"),
+             (IdentifierKind.ATTRIBUTE, "A.b")],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -1331,7 +1350,8 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "body_ctrl_z", "enum_constant_body_ctrl_z", "member_ctrl_z", "method_body_ctrl_z",
          "parameter_list_ctrl_z", "literal_and_comment_ctrl_z",
          "annotation_arguments_on_later_dims", "annotation_element_on_later_dims",
-         "qualified_annotation_arguments_on_later_dims"],
+         "qualified_annotation_arguments_on_later_dims", "annotation_before_later_declarator",
+         "annotation_arguments_before_initialized_declarator"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
@@ -1363,6 +1383,8 @@ _TOP_LEVEL_DIAGNOSTICS = {
     "class A { void m(int \x1a b) {} }": [
         ("unbalanced '('", 1), ("method declaration ends at end of file", 1), ("unbalanced '{'", 1)
     ],
+    "class A { int a, @T b; }": [("unexpected '@' in field declarators", 1)],
+    "class A { int a = 0, @T(1) b; }": [("unexpected '@' in field declarators", 1)],
 }
 
 
