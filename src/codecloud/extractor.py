@@ -444,19 +444,20 @@ class _Extraction:
             depth += (token == "(") - (token == ")")
         return close + 1
 
-    def _skip_statement(self) -> None:
-        """Recovery: drop tokens up to the next ';', balanced '{...}', or '}'."""
+    def _skip_statement(self) -> bool:
+        """Recovery: drop tokens up to the next ';', balanced '{...}', or '}'; whether one came."""
         while self.pos < len(self.tokens) or self._fill():
             value = self.tokens[self.pos]
             if value == ";":
                 self.pos += 1
-                return
+                return True
             if value == "{":
                 self._skip_balanced()
-                return
+                return True
             if value == "}":
-                return
+                return True
             self.pos += 1
+        return False
 
     def _at_type(self, value: str) -> bool:
         """Whether the cursor, on ``value``, starts a type declaration."""
@@ -469,6 +470,7 @@ class _Extraction:
     # -- grammar --
 
     def run(self) -> tuple[list[Identifier], list[Diagnostic]]:
+        modifiers_at = -1  # the first top-level modifier or annotation no declaration has used
         while True:
             if self.pos == len(self.tokens):
                 if self.bodies:
@@ -496,29 +498,41 @@ class _Extraction:
                 self._parse_package()
             elif value == "import":
                 self.declared = True
-                self.pos += 1
-                self._skip_statement()
+                start = self.pos
+                if not self._skip_statement():
+                    self._diag("import declaration ends at end of file", start)
             elif value == "module" or value == "open" and self._peek(1) == "module":
-                self._skip_statement()  # a module declaration: its name, then its body
+                start = self.pos  # a module declaration: its name, then its body
+                if not self._skip_statement():
+                    self._diag("module declaration ends at end of file", start)
             elif self._at_type(value):
                 self.declared = True
                 self._parse_type(self.package)
-            elif value in _MODIFIERS or value == ";":
+            elif value in _MODIFIERS or value == "@" or (
+                value == "non" and self._peek(1) == "-" and self._peek(2) == "sealed"
+            ):
+                if modifiers_at < 0:
+                    modifiers_at = self.pos
+                if value == "@":
+                    self._skip_annotation()
+                else:
+                    self.pos += 3 if value == "non" else 1  # `non-sealed` is three tokens
+                continue  # skips the reset below: the declaration they modify follows
+            elif value == ";":
                 self.pos += 1
-            elif value == "@":
-                self._skip_annotation()
             elif value == "}":
                 self._diag("unmatched '}' at top level", self.pos)
                 self.pos += 1
             elif value == "{":
                 self._diag("unexpected '{' at top level", self.pos)
                 self._skip_balanced()
-            elif value == "non" and self._peek(1) == "-" and self._peek(2) == "sealed":
-                self.pos += 3  # the `non-sealed` modifier
             else:
                 self._diag(f"unexpected {value!r} at top level", self.pos)
                 self.pos += 1
                 self._skip_statement()
+            modifiers_at = -1
+        if modifiers_at >= 0:
+            self._diag("declaration ends at end of file", modifiers_at)
         for _, open_at, _, _ in reversed(self.bodies):
             self.parser_diagnostics.append(Diagnostic("unbalanced '{'", self._line(open_at)))
         return self.out, self.lexer_diagnostics + self.parser_diagnostics

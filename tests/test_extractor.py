@@ -913,6 +913,17 @@ def _body_at_depth(depth, statement):
             [("unexpected '@' in field declarators", 3),
              ("unexpected '@' in field declarators", 4)],
         ),
+        # a top-level declaration cut off by the end of the input is reported at its
+        # first token; javac 17: "reached end of file while parsing"
+        ("import", [("import declaration ends at end of file", 1)]),
+        ("package a;\nimport a\n.b", [("import declaration ends at end of file", 2)]),
+        ("\nmodule a.b", [("module declaration ends at end of file", 2)]),
+        ("\nopen module a.b", [("module declaration ends at end of file", 2)]),
+        ("\npublic", [("declaration ends at end of file", 2)]),
+        ("@", [("declaration ends at end of file", 1)]),
+        ("\n@A(1)\nfinal", [("declaration ends at end of file", 2)]),
+        ("public non-sealed", [("declaration ends at end of file", 1)]),
+        ("class A {}\nstatic \x1a class B {}", [("declaration ends at end of file", 2)]),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -1318,6 +1329,9 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.a"),
              (IdentifierKind.ATTRIBUTE, "A.b")],
         ),
+        # a top-level declaration cut off by the end of the input
+        ("package a;\nimport a.b", [(IdentifierKind.PACKAGE, "a")]),
+        ("class A {}\npublic", [(IdentifierKind.CLASS, "A")]),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -1351,7 +1365,8 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "parameter_list_ctrl_z", "literal_and_comment_ctrl_z",
          "annotation_arguments_on_later_dims", "annotation_element_on_later_dims",
          "qualified_annotation_arguments_on_later_dims", "annotation_before_later_declarator",
-         "annotation_arguments_before_initialized_declarator"],
+         "annotation_arguments_before_initialized_declarator", "import_cut_off_by_end_of_file",
+         "modifier_cut_off_by_end_of_file"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
@@ -1385,6 +1400,8 @@ _TOP_LEVEL_DIAGNOSTICS = {
     ],
     "class A { int a, @T b; }": [("unexpected '@' in field declarators", 1)],
     "class A { int a = 0, @T(1) b; }": [("unexpected '@' in field declarators", 1)],
+    "package a;\nimport a.b": [("import declaration ends at end of file", 2)],
+    "class A {}\npublic": [("declaration ends at end of file", 2)],
 }
 
 
