@@ -48,6 +48,7 @@ _PIECES = {
     # a name's first and later characters, as the token parser reads them
     "NAME_START": r"(?:[^\W\d]|\$)",
     "NAME_PART": r"[\w$]",
+    "NUMBER_PART": "[0-9a-zA-Z_]",  # a number's digits, '_' and radix, suffix and exponent letters
     # the fast path's names, which are ASCII
     "ASCII_PART": "A-Za-z0-9_$",
     "ASCII_NAME": "[A-Za-z_$][`ASCII_PART`]*+",
@@ -174,7 +175,7 @@ _TOKEN_RE = re.compile(
     | (?P<string>"`STRING`(?P<string_end>")?)
     | (?P<char>'`CHAR`(?P<char_end>')?)
     | (?P<ident>`NAME_START``NAME_PART`*)
-    | (?P<number>[0-9][0-9a-zA-Z_]*(?:\.[0-9a-zA-Z_]*)?(?:[eEpP][+-]?[0-9]+)?|\.[0-9][0-9a-zA-Z_]*)
+    | (?P<number>[0-9]`NUMBER_PART`*(?:\.`NUMBER_PART`*)?(?:[eEpP][+-]?[0-9]+)?|\.[0-9]`NUMBER_PART`*)
     | (?P<punct>\S)
     | \Z
     )"""),
