@@ -10,12 +10,13 @@ declaration ends the parser has used every token lexed.  Where it has, the
 common shapes are taken from one anchored regex match each without being
 tokenized: a member of a type body (ASCII names, dims and dots, then a
 parameter list, or field declarators separated by commas, each with dims
-and a simple initializer or none), the '}' that closes a body,
-and at the top level, after any comments, a package declaration, an import,
-or a type header of modifiers, keyword, ASCII name and dotted supertypes.
-Every other form, and any that needs a diagnostic, goes to the token parser,
-which alone decides and diagnoses: ``test_fast_path_changes_no_output``
-checks that switching the fast path off changes no output.
+and a simple initializer or none), and at the top level, after any
+comments, a package declaration, an import, or a type header of modifiers,
+keyword, ASCII name and dotted supertypes.
+Every other form, the '}' that closes a body among them, and any that needs
+a diagnostic go to the token parser, which alone decides and diagnoses:
+``test_fast_path_changes_no_output`` checks that switching the fast path off
+changes no output.
 Method bodies, initializer blocks and brace initializers
 (anonymous class bodies included) are skipped without being tokenized: one
 regex match crosses everything up to the next brace outside comments and
@@ -248,10 +249,6 @@ _HEADER_RE = re.compile(
     re.VERBOSE,
 )
 
-#: The '}' that closes a type body, after nothing but whitespace.
-_CLOSE_RE = re.compile(_expand(r"[`WS`]*+\}"))
-
-
 # --- parser --------------------------------------------------------------
 
 _OPEN_TO_CLOSE = {"(": ")", "[": "]"}
@@ -276,13 +273,13 @@ class _Extraction:
     When the buffer is drained (the cursor is past every lexed token), the
     text at ``lexed_to`` is first tried against a regex that takes a whole
     declaration.  In a type body past its enum-constant section,
-    :meth:`_take_member` tries :data:`_MEMBER_RE`; in any body,
-    :data:`_CLOSE_RE` then takes the '}' that closes it.  At the top level,
+    :meth:`_take_member` tries :data:`_MEMBER_RE`; at the top level,
     :meth:`_take_header` skips comments with :data:`_GAP_RE` and tries
     :data:`_HEADER_RE`.  A match is emitted as the token parser would emit
     it, so no tokens are lexed for it; anything else, a match that would
-    need a diagnostic included, is left to the token parser
-    (``test_fast_path_changes_no_output`` checks that both ways agree).
+    need a diagnostic included and the '}' that closes a body, is left to
+    the token parser (``test_fast_path_changes_no_output`` checks that both
+    ways agree).
 
     ``scope`` arguments are the qualified-name prefix of the enclosing package
     and types: their names, each followed by '.'.
@@ -476,10 +473,6 @@ class _Extraction:
             if self.pos == len(self.tokens):
                 if self.bodies:
                     if not self.bodies[-1][2] and self._take_member():
-                        continue
-                    if close := _CLOSE_RE.match(self.text, self.lexed_to):
-                        self.lexed_to = close.end()
-                        self.bodies.pop()
                         continue
                 elif self._take_header():
                     continue

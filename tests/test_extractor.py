@@ -155,7 +155,7 @@ def _parser_calls(monkeypatch, source):
     counts = Counter()
     _count_methods(monkeypatch, counts, ("_fill", "_peek"))
     patterns = {}
-    for name in ("_MEMBER_RE", "_DECLARATOR_RE", "_GAP_RE", "_HEADER_RE", "_CLOSE_RE"):
+    for name in ("_MEMBER_RE", "_DECLARATOR_RE", "_GAP_RE", "_HEADER_RE"):
         patterns[name] = _CountedPattern(getattr(extractor, name))
         monkeypatch.setattr(extractor, name, patterns[name])
     extract_identifiers(_unit(source))
@@ -227,8 +227,9 @@ def test_members_after_a_nested_type_take_the_fast_path(monkeypatch):
 
 
 def test_generated_tree_is_extracted_without_the_token_parser(monkeypatch, big_corpus):
-    """Every package line, type header, member and closing brace of the tree is
-    matched whole, so each file is lexed only to find its end."""
+    """Every package line, type header and member of the tree is matched
+    whole, so each file is lexed only for the '}' that closes each type body
+    and to find its end."""
     units = scan_tree(big_corpus.root)
     counts = Counter()
     _count_methods(monkeypatch, counts, ("_fill", "_parse_package", "_parse_type"))
@@ -236,7 +237,8 @@ def test_generated_tree_is_extracted_without_the_token_parser(monkeypatch, big_c
     assert sum(len(ids) for _, ids, _ in extracted) > 2 * len(units)
     assert all(diagnostics == [] for _, _, diagnostics in extracted)
     assert counts["_parse_package"] == counts["_parse_type"] == 0
-    assert counts["_fill"] <= len(units)
+    type_bodies = sum(i.kind is IdentifierKind.CLASS for _, ids, _ in extracted for i in ids)
+    assert counts["_fill"] <= len(units) + type_bodies
 
 
 def test_comments_before_a_header_left_to_the_token_parser_are_scanned_once():
@@ -256,7 +258,6 @@ def test_fast_path_changes_no_output(monkeypatch, big_corpus):
     fast = [extract_identifiers(unit) for unit in units]
     monkeypatch.setattr(_Extraction, "_take_member", lambda self: False)
     monkeypatch.setattr(_Extraction, "_take_header", lambda self: False)
-    monkeypatch.setattr(extractor, "_CLOSE_RE", re.compile("(?!)"))
     for unit, expected in zip(units, fast):
         assert extract_identifiers(unit) == expected, unit.text[:300]
 

@@ -30,9 +30,10 @@ def test_extractor_diff_names_the_patterns_whose_compiled_code_differs():
     assert extractor_diff.differing_patterns(extractor, extractor) == []
     changed = types.ModuleType("changed")
     changed.__dict__.update(vars(extractor))
-    changed._CLOSE_RE = re.compile(r"\s*\}")  # greedy where the module's is possessive
+    # greedy where the module's is possessive
+    changed._GAP_RE = re.compile(r"\s*(?://[^\n]*|/\*(?:[^*]+|\*(?!/))*\*/)")
     changed._is_name = re.compile(r"[^\W\d]|\$").match  # another spelling of the same code
-    assert extractor_diff.differing_patterns(extractor, changed) == ["_CLOSE_RE"]
+    assert extractor_diff.differing_patterns(extractor, changed) == ["_GAP_RE"]
 
 
 def test_cli_diff_masks_only_the_run_time():
