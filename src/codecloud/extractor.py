@@ -513,6 +513,8 @@ class _Extraction:
                     self.pos += 3 if value == "non" else 1  # `non-sealed` is three tokens
                 continue  # skips the reset below: the declaration they modify follows
             elif value == ";":
+                if modifiers_at >= 0:  # javac: "class, interface, enum, or record expected"
+                    self._diag("declaration ends at ';'", modifiers_at)
                 self.pos += 1
             elif value == "}":
                 self._diag("unmatched '}' at top level", self.pos)

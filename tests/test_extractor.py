@@ -925,6 +925,12 @@ def _body_at_depth(depth, statement):
         ("\n@A(1)\nfinal", [("declaration ends at end of file", 2)]),
         ("public non-sealed", [("declaration ends at end of file", 1)]),
         ("class A {}\nstatic \x1a class B {}", [("declaration ends at end of file", 2)]),
+        # and so is one that a ';' ends; javac 17: "class, interface, enum, or record expected"
+        ("public ;", [("declaration ends at ';'", 1)]),
+        ("@A ;", [("declaration ends at ';'", 1)]),
+        ("\nfinal\n;", [("declaration ends at ';'", 2)]),
+        ("class A {}\npublic ;", [("declaration ends at ';'", 2)]),
+        ("\n@A(1) static\n;\nclass B {}", [("declaration ends at ';'", 2)]),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -1333,6 +1339,8 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
         # a top-level declaration cut off by the end of the input
         ("package a;\nimport a.b", [(IdentifierKind.PACKAGE, "a")]),
         ("class A {}\npublic", [(IdentifierKind.CLASS, "A")]),
+        # and one that a ';' ends leaves the type after it as it is
+        ("public ; class B {}", [(IdentifierKind.CLASS, "B")]),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -1367,7 +1375,7 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "annotation_arguments_on_later_dims", "annotation_element_on_later_dims",
          "qualified_annotation_arguments_on_later_dims", "annotation_before_later_declarator",
          "annotation_arguments_before_initialized_declarator", "import_cut_off_by_end_of_file",
-         "modifier_cut_off_by_end_of_file"],
+         "modifier_cut_off_by_end_of_file", "modifier_ended_by_semicolon"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
@@ -1403,6 +1411,7 @@ _TOP_LEVEL_DIAGNOSTICS = {
     "class A { int a = 0, @T(1) b; }": [("unexpected '@' in field declarators", 1)],
     "package a;\nimport a.b": [("import declaration ends at end of file", 2)],
     "class A {}\npublic": [("declaration ends at end of file", 2)],
+    "public ; class B {}": [("declaration ends at ';'", 1)],
 }
 
 
