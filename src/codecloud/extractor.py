@@ -753,7 +753,9 @@ class _Extraction:
                     self._skip_balanced()
                     self._finish_method(params_at)
                 elif value == "=" or value == "," or value == ";":
-                    if name is not None and name not in _KEYWORDS_NEVER_NAMES:
+                    if name in _KEYWORDS_NEVER_NAMES:  # javac: "<identifier> expected"
+                        self._diag(f"unexpected {name!r} in field declarators", name_at)
+                    elif name is not None:
                         self._emit(_ATTRIBUTE, name, scope, name_at)
                     self.pos += 1
                     if value != ";":
@@ -822,7 +824,9 @@ class _Extraction:
         while self.pos < len(self.tokens) or self._fill():
             value = self.tokens[self.pos]
             if expect_name and _is_name(value):
-                if value not in _KEYWORDS_NEVER_NAMES:
+                if value in _KEYWORDS_NEVER_NAMES:  # javac: "<identifier> expected"
+                    self._diag(f"unexpected {value!r} in field declarators", self.pos)
+                else:
                     self._emit(_ATTRIBUTE, value, scope, self.pos)
                 expect_name = False
             elif expect_name and value == "@":  # javac: "<identifier> expected"

@@ -894,7 +894,12 @@ def _body_at_depth(depth, statement):
         ],
         ("class A {\n record var(int x) { }\n}", [("type declaration without a name", 2)]),
         # a reserved keyword names no enum constant and no package segment
-        ("enum E {\n int, goto;\n}", [("unexpected 'int' in enum constants", 2)]),
+        (
+            "enum E {\n int, goto;\n}",
+            [("unexpected 'int' in enum constants", 2),
+             ("unexpected 'int' in field declarators", 2),
+             ("unexpected 'goto' in field declarators", 2)],
+        ),
         ("\npackage int.x;\nclass A {}", [("malformed package declaration", 2)]),
         ("package a\n  . true;", [("malformed package declaration", 1)]),
         # a Ctrl-Z at the top level ends the input (JLS 3.5)
@@ -931,6 +936,12 @@ def _body_at_depth(depth, statement):
         ("\nfinal\n;", [("declaration ends at ';'", 2)]),
         ("class A {}\npublic ;", [("declaration ends at ';'", 2)]),
         ("\n@A(1) static\n;\nclass B {}", [("declaration ends at ';'", 2)]),
+        # a keyword where a field declarator's name goes, at its own line;
+        # javac 17: "<identifier> expected"
+        ("class A {\n int return;\n}", [("unexpected 'return' in field declarators", 2)]),
+        ("class A {\n int return = 1;\n}", [("unexpected 'return' in field declarators", 2)]),
+        ("class A {\n int a,\n return;\n}", [("unexpected 'return' in field declarators", 3)]),
+        ("class A {\n int if,\n b;\n}", [("unexpected 'if' in field declarators", 2)]),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -1341,6 +1352,15 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
         ("class A {}\npublic", [(IdentifierKind.CLASS, "A")]),
         # and one that a ';' ends leaves the type after it as it is
         ("public ; class B {}", [(IdentifierKind.CLASS, "B")]),
+        # a keyword names no field declarator and is reported
+        (
+            "class A { int a, return; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.a")],
+        ),
+        (
+            "class A { int if, b; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.b")],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -1375,7 +1395,8 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "annotation_arguments_on_later_dims", "annotation_element_on_later_dims",
          "qualified_annotation_arguments_on_later_dims", "annotation_before_later_declarator",
          "annotation_arguments_before_initialized_declarator", "import_cut_off_by_end_of_file",
-         "modifier_cut_off_by_end_of_file", "modifier_ended_by_semicolon"],
+         "modifier_cut_off_by_end_of_file", "modifier_ended_by_semicolon",
+         "keyword_later_declarator", "keyword_first_declarator_before_comma"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
@@ -1412,6 +1433,22 @@ _TOP_LEVEL_DIAGNOSTICS = {
     "package a;\nimport a.b": [("import declaration ends at end of file", 2)],
     "class A {}\npublic": [("declaration ends at end of file", 2)],
     "public ; class B {}": [("declaration ends at ';'", 1)],
+    "class A { int new = 1; }": [("unexpected 'new' in field declarators", 1)],
+    "class A { int default; }": [("unexpected 'default' in field declarators", 1)],
+    "class A { int a, default; }": [("unexpected 'default' in field declarators", 1)],
+    "class A { int a = 1, abstract; }": [("unexpected 'abstract' in field declarators", 1)],
+    "class A { int this, b; }": [("unexpected 'this' in field declarators", 1)],
+    "class A { int new = 1, b; }": [("unexpected 'new' in field declarators", 1)],
+    "class A { int int; int true; int goto; int _; int x; }": [
+        (f"unexpected {name!r} in field declarators", 1) for name in ("int", "true", "goto", "_")
+    ],
+    "enum E { int, goto; }": [
+        ("unexpected 'int' in enum constants", 1),
+        ("unexpected 'int' in field declarators", 1),
+        ("unexpected 'goto' in field declarators", 1),
+    ],
+    "class A { int a, return; }": [("unexpected 'return' in field declarators", 1)],
+    "class A { int if, b; }": [("unexpected 'if' in field declarators", 1)],
 }
 
 
