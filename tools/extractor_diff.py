@@ -15,6 +15,8 @@ among them), pieces of declarator lists such as ``int a, b;``,
 ``b[] = 2,``, ``b @T(1) [],``, ``, @T b`` and ``, @T(1) b``, a lone CR, a
 Ctrl-Z, members named ``sealed`` (``int sealed;``, ``sealed(``), the header ``class A;``, types
 named by restricted identifiers (``class record {``, ``interface var {``),
+modifiers or an annotation that a ';' ends (``public ;``, ``@A ;``), field
+declarators named by a keyword (``int return;``, ``, return``),
 keywords where an enum constant or a package name goes (``enum E { int,``,
 ``package int.x;``), a Ctrl-Z before a type (``^Z class I {}``), one where a member starts in
 a body (``{ ^Z int x;``), and one in the middle of a member (``int ^Z x;``),
@@ -61,7 +63,7 @@ _TOKENS = (
     "int sealed;", "sealed(", "class A;", "class record {", "interface var {", "enum E { int,",
     "package int.x;",
     "\x1a class I {}", "{ \x1a int x;", "int \x1a x;", "void m() { \x1a }", "(int \x1a b)",
-    ", @T b", ", @T(1) b",
+    ", @T b", ", @T(1) b", "public ;", "@A ;", "int return;", ", return",
 ]
 
 
