@@ -146,7 +146,11 @@ class _Corpus:
 
     The tree is listed when this is made.  Iterating reads a file, extracts
     it, prints its warnings and yields its identifiers before it reads the
-    next, in path order, so only the file at hand is held.
+    next, in path order, so only the file at hand is held.  A command that
+    builds its tags without names (``cloud`` in svg, html and csv, and
+    ``stats``) keeps nothing of a file's identifiers after the next file is
+    read; ``eval`` and ``cloud --format json`` keep each one's qualified
+    name in its tags.
     """
 
     def __init__(self, root: str):
@@ -232,7 +236,9 @@ def cmd_cloud(args) -> int:
     lexicon = _load_lexicon(args)
     started = time.perf_counter()
     corpus = _Corpus(args.root)
-    cloud = build_cloud(corpus, _KIND_NAMES[args.kind], lexicon, cfg, _corpus_label(args.root))
+    kind = _KIND_NAMES[args.kind]
+    names = args.format == "json"  # the drawings and the CSV need the weights alone
+    cloud = build_cloud(corpus, kind, lexicon, cfg, _corpus_label(args.root), names)
     if not corpus.count:
         print(f"no identifiers found under {args.root}", file=sys.stderr)
         return EXIT_EMPTY
@@ -266,7 +272,7 @@ def cmd_stats(args) -> int:
     corpus = _Corpus(args.root)
     kind_counts: Counter = Counter()
     cfg = FilterConfig(stop_words_enabled=not args.no_stopwords)
-    tags = build_tags(_counted(corpus, kind_counts), CloudKind.ALL, lexicon, cfg)
+    tags = build_tags(_counted(corpus, kind_counts), CloudKind.ALL, lexicon, cfg, names=False)
     row = {
         "corpus": _corpus_label(args.root),
         "packages": kind_counts[IdentifierKind.PACKAGE],

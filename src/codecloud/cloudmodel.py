@@ -56,7 +56,8 @@ class Tag(NamedTuple):
     """A stemmed word, its weight, and the identifiers that contain it.
 
     ``contributors`` are the qualified names of those identifiers, in corpus
-    order.
+    order, or ``()`` in a tag built without names (``names=False``), which
+    carries its weight alone.
     """
 
     stem: str
@@ -79,14 +80,22 @@ def _select(ids: Iterable[Identifier], kind: CloudKind) -> Iterable[Identifier]:
 
 
 def build_tags(
-    ids: Iterable[Identifier], kind: CloudKind, lexicon: StemLexicon, cfg: FilterConfig
+    ids: Iterable[Identifier],
+    kind: CloudKind,
+    lexicon: StemLexicon,
+    cfg: FilterConfig,
+    names: bool = True,
 ) -> list[Tag]:
     """One alphabetically ordered Tag per distinct stem in the selection.
 
-    ``ids`` is read once, so it may be a one-shot iterator; only each
-    tag's contributor names are kept.
+    ``ids`` is read once, so it may be a one-shot iterator.  With ``names``
+    each tag keeps its contributor names; without, only one count per stem
+    is kept, every tag's ``contributors`` is ``()``, and nothing of an
+    identifier is kept once it is counted.  Drawing needs only the weights;
+    scoring and the JSON wire form need the names.
     """
-    contributors: dict[str, list[str]] = {}
+    # A stem's contributor names, or with ``names`` off its count.
+    tally: dict = {}
     # One call's memo, so it matches ``lexicon`` and ``cfg``: a word's stem,
     # or "" when the cloud drops that stem as a stop word.  No stem is "":
     # words are non-empty, rules leave two letters, exceptions are words.
@@ -101,16 +110,19 @@ def build_tags(
                 stem = stem_of[word] = "" if stem in stop_words else stem
             stems.add(stem)
         stems.discard("")
-        name = identifier.qualified_name
-        for stem in stems:
-            if stem in contributors:
-                contributors[stem].append(name)
-            else:
-                contributors[stem] = [name]
-    return [
-        Tag(stem, len(members), tuple(members))
-        for stem, members in sorted(contributors.items())
-    ]
+        if names:
+            name = identifier.qualified_name
+            for stem in stems:
+                if stem in tally:
+                    tally[stem].append(name)
+                else:
+                    tally[stem] = [name]
+        else:
+            for stem in stems:
+                tally[stem] = tally.get(stem, 0) + 1
+    if names:
+        return [Tag(stem, len(members), tuple(members)) for stem, members in sorted(tally.items())]
+    return [Tag(stem, count) for stem, count in sorted(tally.items())]
 
 
 def apply_short_tag_filter(tags: list[Tag], cfg: FilterConfig) -> list[Tag]:
@@ -126,9 +138,15 @@ def build_cloud(
     lexicon: StemLexicon,
     cfg: FilterConfig,
     corpus_label: str = "",
+    names: bool = True,
 ) -> TagCloud:
-    """Build tags for the selected kind, reading ``ids`` once, and apply the filters."""
-    tags = apply_short_tag_filter(build_tags(ids, kind, lexicon, cfg), cfg)
+    """Build tags for the selected kind, reading ``ids`` once, and apply the filters.
+
+    ``names`` is :func:`build_tags`'s: a cloud built without names renders
+    as any other, but must not be scored or written as JSON, whose
+    contributor lists would be empty.
+    """
+    tags = apply_short_tag_filter(build_tags(ids, kind, lexicon, cfg, names), cfg)
     return TagCloud(kind=kind, tags=tuple(tags), filters=cfg, corpus_label=corpus_label)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from codecloud import (
     RenderConfig,
     Tag,
     build_cloud,
+    build_tags,
     cli,
     cloudmodel,
     evaluator,
@@ -398,6 +400,40 @@ def test_commands_use_each_file_before_the_last_is_read(
     last_read = len(events) - 1 - events[::-1].index("read")
     for name in used:
         assert events.index(name) < last_read, name
+
+
+@pytest.mark.parametrize(
+    "command, names",
+    [
+        (["cloud", "--format", "svg"], False),
+        (["cloud", "--format", "html"], False),
+        (["cloud", "--format", "csv"], False),
+        (["stats"], False),
+        (["cloud", "--format", "json"], True),
+        (["eval"], True),
+    ],
+    ids=["cloud-svg", "cloud-html", "cloud-csv", "stats", "cloud-json", "eval"],
+)
+def test_commands_keep_contributor_names_only_to_write_or_score_them(
+    drawing_shapes_dir, tmp_path, monkeypatch, command, names
+):
+    asked = []
+
+    def recorded(build):
+        signature = inspect.signature(build)
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            asked.append(bound.arguments["names"])
+            return build(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_cloud", recorded(build_cloud))
+    monkeypatch.setattr(cli, "build_tags", recorded(build_tags))
+    out = tmp_path / "out"
+    assert cli.main([command[0], str(drawing_shapes_dir), *command[1:], "-o", str(out)]) == 0
+    assert asked == [names]
 
 
 def test_warnings_stream_file_by_file(tmp_path, capsys):

@@ -238,6 +238,9 @@ def test_one_pass_counts_equal_per_tag_scans(entries, kind, stop_words_enabled):
     assert tags == [
         Tag(stem, len(members), tuple(members)) for stem, members in sorted(expected.items())
     ]
+    counted = build_tags(iter(ids), kind, LEXICON, cfg, names=False)
+    assert counted == [Tag(tag.stem, tag.weight) for tag in tags]
+    assert all(tag.contributors == () for tag in counted)
 
     report = evaluate(TagCloud(kind, tuple(tags), cfg, "prop"), ids, LEXICON)
     oracle_stems = set()
