@@ -469,6 +469,7 @@ class _Extraction:
 
     def run(self) -> tuple[list[Identifier], list[Diagnostic]]:
         modifiers_at = -1  # the first top-level modifier or annotation no declaration has used
+        keyword_at = -1  # the first of them that is no annotation
         while True:
             if self.pos == len(self.tokens):
                 if self.bodies:
@@ -488,17 +489,24 @@ class _Extraction:
                     self._parse_enum_constant(value, scope, open_at)
                 else:
                     self._parse_member(scope, record)
-            elif value == "package":
-                self._parse_package()
-            elif value == "import":
-                self.declared = True
-                start = self.pos
-                if not self._skip_statement():
-                    self._diag("import declaration ends at end of file", start)
-            elif value == "module" or value == "open" and self._peek(1) == "module":
-                start = self.pos  # a module declaration: its name, then its body
-                if not self._skip_statement():
-                    self._diag("module declaration ends at end of file", start)
+            elif value in ("package", "import", "module") or (
+                value == "open" and self._peek(1) == "module"
+            ):
+                # javac: "class, interface, enum, or record expected"; only
+                # annotations may precede a package or module (JLS 7.4.1, 7.7)
+                if (at := modifiers_at if value == "import" else keyword_at) >= 0:
+                    self._diag(f"declaration ends at {value!r}", at)
+                if value == "package":
+                    self._parse_package()
+                elif value == "import":
+                    self.declared = True
+                    start = self.pos
+                    if not self._skip_statement():
+                        self._diag("import declaration ends at end of file", start)
+                else:
+                    start = self.pos  # a module declaration: its name, then its body
+                    if not self._skip_statement():
+                        self._diag("module declaration ends at end of file", start)
             elif self._at_type(value):
                 self.declared = True
                 self._parse_type(self.package)
@@ -510,6 +518,8 @@ class _Extraction:
                 if value == "@":
                     self._skip_annotation()
                 else:
+                    if keyword_at < 0:
+                        keyword_at = self.pos
                     self.pos += 3 if value == "non" else 1  # `non-sealed` is three tokens
                 continue  # skips the reset below: the declaration they modify follows
             elif value == ";":
@@ -526,7 +536,7 @@ class _Extraction:
                 self._diag(f"unexpected {value!r} at top level", self.pos)
                 self.pos += 1
                 self._skip_statement()
-            modifiers_at = -1
+            modifiers_at = keyword_at = -1
         if modifiers_at >= 0:
             self._diag("declaration ends at end of file", modifiers_at)
         for _, open_at, _, _ in reversed(self.bodies):

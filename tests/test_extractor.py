@@ -942,6 +942,19 @@ def _body_at_depth(depth, statement):
         ("class A {\n int return = 1;\n}", [("unexpected 'return' in field declarators", 2)]),
         ("class A {\n int a,\n return;\n}", [("unexpected 'return' in field declarators", 3)]),
         ("class A {\n int if,\n b;\n}", [("unexpected 'if' in field declarators", 2)]),
+        # and one that an import, package or module declaration follows, at the
+        # first modifier; javac 17: "class, interface, enum, or record expected",
+        # or "modifier static not allowed here" before a module
+        ("public import a.b;", [("declaration ends at 'import'", 1)]),
+        ("\n@A\nimport a.b;", [("declaration ends at 'import'", 2)]),
+        ("public package a;", [("declaration ends at 'package'", 1)]),
+        ("@A\npublic\npackage a;", [("declaration ends at 'package'", 2)]),
+        ("static module a {}", [("declaration ends at 'module'", 1)]),
+        ("@A static open module a {}", [("declaration ends at 'open'", 1)]),
+        # but annotations alone may precede a package or a module (JLS 7.4.1,
+        # 7.7): javac 17 accepts both, in package-info.java and module-info.java
+        ("@A\npackage a;", []),
+        ("@A\nmodule a {}", []),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -1361,6 +1374,12 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             "class A { int if, b; }",
             [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.b")],
         ),
+        # a modifier before an import or a package changes neither
+        ("public import a.b;\nclass B {}", [(IdentifierKind.CLASS, "B")]),
+        (
+            "public package a;\nclass B {}",
+            [(IdentifierKind.PACKAGE, "a"), (IdentifierKind.CLASS, "a.B")],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -1396,7 +1415,8 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "qualified_annotation_arguments_on_later_dims", "annotation_before_later_declarator",
          "annotation_arguments_before_initialized_declarator", "import_cut_off_by_end_of_file",
          "modifier_cut_off_by_end_of_file", "modifier_ended_by_semicolon",
-         "keyword_later_declarator", "keyword_first_declarator_before_comma"],
+         "keyword_later_declarator", "keyword_first_declarator_before_comma",
+         "modifier_before_import", "modifier_before_package"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
@@ -1449,6 +1469,8 @@ _TOP_LEVEL_DIAGNOSTICS = {
     ],
     "class A { int a, return; }": [("unexpected 'return' in field declarators", 1)],
     "class A { int if, b; }": [("unexpected 'if' in field declarators", 1)],
+    "public import a.b;\nclass B {}": [("declaration ends at 'import'", 1)],
+    "public package a;\nclass B {}": [("declaration ends at 'package'", 1)],
 }
 
 
