@@ -259,6 +259,8 @@ _CONSTANT_ENDS = frozenset(",;}({")
 #: and the tokens that may end that run; "" is the end of the file.
 _DECLARATOR_RUN = frozenset(",[]@.")
 _DECLARATOR_RUN_ENDS = frozenset(("=", ";", "}", ""))
+#: The tokens that end a declarator which has no name before them.
+_NAMELESS_ENDS = frozenset("=,;")
 
 
 class _Extraction:
@@ -767,6 +769,8 @@ class _Extraction:
                         self._diag(f"unexpected {name!r} in field declarators", name_at)
                     elif name is not None:
                         self._emit(_ATTRIBUTE, name, scope, name_at)
+                    elif value != ";":  # javac: "illegal start of type"; a lone ';' is empty
+                        self._diag("field declarator without a name", self.pos)
                     self.pos += 1
                     if value != ";":
                         first_at = self.pos - 1 if name is None else name_at
@@ -833,6 +837,8 @@ class _Extraction:
         run_end = -1  # position of the token that ends the latest run scanned
         while self.pos < len(self.tokens) or self._fill():
             value = self.tokens[self.pos]
+            if expect_name and value in _NAMELESS_ENDS and self.tokens[self.pos - 1] == ",":
+                self._diag("field declarator without a name", self.pos)  # javac: "<identifier> expected"
             if expect_name and _is_name(value):
                 if value in _KEYWORDS_NEVER_NAMES:  # javac: "<identifier> expected"
                     self._diag(f"unexpected {value!r} in field declarators", self.pos)

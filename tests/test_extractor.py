@@ -777,7 +777,11 @@ def _body_at_depth(depth, statement):
         ),
         (
             "class A {\n\n = 1",
-            [("field declaration ends at end of file", 3), ("unbalanced '{'", 1)],
+            [
+                ("field declarator without a name", 3),
+                ("field declaration ends at end of file", 3),
+                ("unbalanced '{'", 1),
+            ],
         ),
         # Java's "/*/" opens a comment without closing it
         ("class A {}\n/*/", [("unterminated block comment", 2)]),
@@ -955,6 +959,14 @@ def _body_at_depth(depth, statement):
         # 7.7): javac 17 accepts both, in package-info.java and module-info.java
         ("@A\npackage a;", []),
         ("@A\nmodule a {}", []),
+        # a field declarator with no name, at the token where its name goes;
+        # javac 17: "illegal start of type" in the first row, else "<identifier> expected"
+        ("class A {\n = 1;\n}", [("field declarator without a name", 2)]),
+        ("class A {\n int a = 1,\n ;\n}", [("field declarator without a name", 3)]),
+        ("class A {\n int a,\n ;\n}", [("field declarator without a name", 3)]),
+        ("class A {\n int a = 1,\n = 2;\n}", [("field declarator without a name", 3)]),
+        # but empty declarations are none
+        ("class A { ; int x;; }", []),
     ],
 )
 def test_diagnostic_messages_and_lines(source, expected):
@@ -1380,6 +1392,20 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
             "public package a;\nclass B {}",
             [(IdentifierKind.PACKAGE, "a"), (IdentifierKind.CLASS, "a.B")],
         ),
+        # a field declarator with no name is reported, and the others are kept
+        (
+            "class A { = 1; int b; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.b")],
+        ),
+        (
+            "class A { int a = 1, ; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.a")],
+        ),
+        (
+            "class A { int a, , b; }",
+            [(IdentifierKind.CLASS, "A"), (IdentifierKind.ATTRIBUTE, "A.a"),
+             (IdentifierKind.ATTRIBUTE, "A.b")],
+        ),
     ],
     ids=["class", "interface", "generic_new", "generic_call", "generic_method_ref",
          "conditional", "comparisons", "annotated_generic_new", "generic_instanceof",
@@ -1416,7 +1442,8 @@ def test_declarations_after_a_malformed_line_are_kept(source, expected):
          "annotation_arguments_before_initialized_declarator", "import_cut_off_by_end_of_file",
          "modifier_cut_off_by_end_of_file", "modifier_ended_by_semicolon",
          "keyword_later_declarator", "keyword_first_declarator_before_comma",
-         "modifier_before_import", "modifier_before_package"],
+         "modifier_before_import", "modifier_before_package", "nameless_field_declarator",
+         "nameless_declarator_after_initializer", "nameless_declarator_between_commas"],
 )
 def test_top_level_non_sealed_type_is_extracted(source, expected):
     # JLS 17 section 8.1.1.2: `non-sealed` is a modifier at the top level too
@@ -1471,6 +1498,9 @@ _TOP_LEVEL_DIAGNOSTICS = {
     "class A { int if, b; }": [("unexpected 'if' in field declarators", 1)],
     "public import a.b;\nclass B {}": [("declaration ends at 'import'", 1)],
     "public package a;\nclass B {}": [("declaration ends at 'package'", 1)],
+    "class A { = 1; int b; }": [("field declarator without a name", 1)],
+    "class A { int a = 1, ; }": [("field declarator without a name", 1)],
+    "class A { int a, , b; }": [("field declarator without a name", 1)],
 }
 
 
