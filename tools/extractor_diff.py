@@ -15,8 +15,10 @@ among them), pieces of declarator lists such as ``int a, b;``,
 ``b[] = 2,``, ``b @T(1) [],``, ``, @T b`` and ``, @T(1) b``, a lone CR, a
 Ctrl-Z, members named ``sealed`` (``int sealed;``, ``sealed(``), the header ``class A;``, types
 named by restricted identifiers (``class record {``, ``interface var {``),
-modifiers or an annotation that a ';' ends (``public ;``, ``@A ;``), field
-declarators named by a keyword (``int return;``, ``, return``),
+modifiers or an annotation that a ';' ends (``public ;``, ``@A ;``) or that
+an import, package or module declaration follows (``public import a.b;``,
+``@A package a;``, ``static module a {}``), field declarators named by a
+keyword (``int return;``, ``, return``) or by nothing (``= 1;``, ``, ;``),
 keywords where an enum constant or a package name goes (``enum E { int,``,
 ``package int.x;``), a Ctrl-Z before a type (``^Z class I {}``), one where a member starts in
 a body (``{ ^Z int x;``), and one in the middle of a member (``int ^Z x;``),
@@ -64,6 +66,7 @@ _TOKENS = (
     "package int.x;",
     "\x1a class I {}", "{ \x1a int x;", "int \x1a x;", "void m() { \x1a }", "(int \x1a b)",
     ", @T b", ", @T(1) b", "public ;", "@A ;", "int return;", ", return",
+    "public import a.b;", "@A package a;", "static module a {}", "= 1;", ", ;",
 ]
 
 
