@@ -94,8 +94,7 @@ def build_tags(
     identifier is kept once it is counted.  Drawing needs only the weights;
     scoring and the JSON wire form need the names.
     """
-    # A stem's contributor names, or with ``names`` off its count.
-    tally: dict = {}
+    tally: dict = {}  # a stem's contributor names, or without ``names`` its count
     # One call's memo, so it matches ``lexicon`` and ``cfg``: a word's stem,
     # or "" when the cloud drops that stem as a stop word.  No stem is "":
     # words are non-empty, rules leave two letters, exceptions are words.
@@ -142,9 +141,8 @@ def build_cloud(
 ) -> TagCloud:
     """Build tags for the selected kind, reading ``ids`` once, and apply the filters.
 
-    ``names`` is :func:`build_tags`'s: a cloud built without names renders
-    as any other, but must not be scored or written as JSON, whose
-    contributor lists would be empty.
+    ``names`` is :func:`build_tags`'s.  A cloud built without names renders
+    as any other, but must not be scored or written as JSON.
     """
     tags = apply_short_tag_filter(build_tags(ids, kind, lexicon, cfg, names), cfg)
     return TagCloud(kind=kind, tags=tuple(tags), filters=cfg, corpus_label=corpus_label)

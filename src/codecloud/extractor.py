@@ -838,7 +838,8 @@ class _Extraction:
         while self.pos < len(self.tokens) or self._fill():
             value = self.tokens[self.pos]
             if expect_name and value in _NAMELESS_ENDS and self.tokens[self.pos - 1] == ",":
-                self._diag("field declarator without a name", self.pos)  # javac: "<identifier> expected"
+                # javac: "<identifier> expected"
+                self._diag("field declarator without a name", self.pos)
             if expect_name and _is_name(value):
                 if value in _KEYWORDS_NEVER_NAMES:  # javac: "<identifier> expected"
                     self._diag(f"unexpected {value!r} in field declarators", self.pos)
